@@ -29,6 +29,7 @@
  * A full (non-smoke) run pins the table in BENCH_scaling.json.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -39,6 +40,7 @@
 #include "net/analysis.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/telemetry/json.hh"
 #include "sweep.hh"
 #include "workloads/packet_injector.hh"
 
@@ -105,6 +107,29 @@ runPoint(GridSpec grid, NetId id, std::uint64_t seed,
     if (simStatsEnabled())
         dumpSimStats(netName(id) + " @ " + label, sim);
     return p;
+}
+
+/**
+ * Saturation verdict for one simulated point: the measured tail left
+ * the latency histogram (p99 is then +inf), or the network delivered
+ * clearly less than was offered during the window.
+ */
+bool
+saturated(const InjectorResult &r)
+{
+    return r.overflowPackets > 0 || !std::isfinite(r.p99LatencyNs)
+        || r.deliveredPct < 0.95 * r.offeredMeasuredPct;
+}
+
+/** @p v rendered with printf @p fmt, or JSON null when non-finite. */
+std::string
+jsonValue(double v, const char *fmt = "%.6f")
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    return buf;
 }
 
 /** Positive-integer flag on top of the shared stripNumberFlag(). */
@@ -244,39 +269,45 @@ main(int argc, char **argv)
         }
         std::fputs(line, stdout);
 
-        char entry[512];
-        std::snprintf(entry, sizeof(entry),
-                      "    {\"grid\": \"%ux%u\", \"network\": "
-                      "\"%s\", \"feasible\": %s, \"loss_db\": %.2f, "
-                      "\"required_launch_dbm\": %.2f, \"margin_db\": "
-                      "%.2f, \"laser_w\": %.1f, \"mean_ns\": %s, "
-                      "\"p99_ns\": %s, \"delivered_pct\": %s, "
-                      "\"energy_mj\": %s}",
-                      p.grid.rows, p.grid.cols,
-                      netName(p.id).c_str(),
-                      p.feas.feasible ? "true" : "false",
-                      p.feas.totalLoss.value(),
-                      p.feas.requiredLaunch.value(),
-                      p.feas.margin.value(), p.laserW,
-                      p.simulated
-                          ? std::to_string(p.traffic.meanLatencyNs)
-                                .c_str()
-                          : "null",
-                      p.simulated
-                          ? std::to_string(p.traffic.p99LatencyNs)
-                                .c_str()
-                          : "null",
-                      p.simulated
-                          ? std::to_string(p.traffic.deliveredPct)
-                                .c_str()
-                          : "null",
-                      p.simulated ? std::to_string(p.energyMj).c_str()
-                                  : "null");
-        json << (first ? "" : ",\n") << entry;
+        const auto simulatedValue = [&p](double v) {
+            return p.simulated ? jsonValue(v) : std::string("null");
+        };
+        json << (first ? "" : ",\n") << "    {\"grid\": \""
+             << p.grid.rows << "x" << p.grid.cols
+             << "\", \"network\": \""
+             << netName(p.id) << "\", \"feasible\": "
+             << (p.feas.feasible ? "true" : "false")
+             << ", \"loss_db\": "
+             << jsonValue(p.feas.totalLoss.value(), "%.2f")
+             << ", \"required_launch_dbm\": "
+             << jsonValue(p.feas.requiredLaunch.value(), "%.2f")
+             << ", \"margin_db\": "
+             << jsonValue(p.feas.margin.value(), "%.2f")
+             << ", \"laser_w\": " << jsonValue(p.laserW, "%.1f")
+             << ", \"mean_ns\": "
+             << simulatedValue(p.traffic.meanLatencyNs)
+             << ", \"p99_ns\": "
+             << simulatedValue(p.traffic.p99LatencyNs)
+             << ", \"delivered_pct\": "
+             << simulatedValue(p.traffic.deliveredPct)
+             << ", \"energy_mj\": " << simulatedValue(p.energyMj)
+             << ", \"saturated\": "
+             << (!p.simulated ? "null"
+                 : saturated(p.traffic) ? "true" : "false")
+             << "}";
         first = false;
     }
     json << "\n  ]\n}\n";
 
+    // Every mode validates the document, so a smoke run catches a
+    // malformed value before a full run pins one.
+    std::string err;
+    if (!jsonValid(json.str(), &err)) {
+        std::fprintf(stderr,
+                     "bench_ext_scalability: result JSON invalid: %s\n",
+                     err.c_str());
+        return 1;
+    }
     if (!topt.smoke && !have_net && !have_rows && !have_cols)
         writeTextFile("BENCH_scaling.json", json.str());
     return sweepExitStatus();

@@ -10,10 +10,10 @@
  *  - speedup: events/sec at 4 LPs over the single-LP run.
  *
  * Timed points run with metrics timing on, so the per-LP horizon
- * breakdown (busy vs blocked wall time, spills, peak channel depth)
- * lands in BENCH_pdes.json next to the speedup — the perf trajectory
- * records *why* a point is slow. --sim-stats prints each point's
- * load-balance report (PdesLoadReport).
+ * breakdown (busy, blocked and spin wall time, spills, peak channel
+ * depth) lands in BENCH_pdes.json next to the speedup — the perf
+ * trajectory records *why* a point is slow. --sim-stats prints each
+ * point's load-balance report (PdesLoadReport).
  *
  * Shared harness telemetry flags:
  *   --trace=<file>    capture the 4-LP run's parallel Perfetto
@@ -32,14 +32,14 @@
  * full runs pin their measurement in BENCH_pdes.json.
  *
  * --lp N / --threads-per-sim T time one extra point with N logical
- * processes on T worker threads (T defaults to N).
+ * processes on T worker threads (T defaults to N). N must lie in
+ * [1, 256] (the grid's site count) and T in [1, N]; anything else,
+ * garbage included, exits non-zero before any point runs.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -50,6 +50,7 @@
 #include "arch/config.hh"
 #include "harness.hh"
 #include "net/pt2pt.hh"
+#include "sim/logging.hh"
 #include "sim/telemetry/json.hh"
 #include "workloads/packet_injector.hh"
 
@@ -209,6 +210,33 @@ jsonNum(const char *key, double v, const char *fmt = "%.6g")
     return buf;
 }
 
+/** Sites of the bench grid: the most LPs a point can partition into. */
+constexpr std::uint64_t benchSites = 16 * 16;
+
+/**
+ * The extra point's --lp / --threads-per-sim, both optional; fatal()
+ * on garbage, on 0, on more LPs than sites, or on more threads than
+ * LPs (the scheduler would clamp them and mislabel the point).
+ */
+void
+extraPointArgs(int &argc, char **argv, std::uint32_t *lps,
+               std::size_t *threads)
+{
+    std::uint64_t lp = 0, t = 0;
+    const bool have_lp = stripNumberFlag(argc, argv, "lp", &lp);
+    const bool have_t =
+        stripNumberFlag(argc, argv, "threads-per-sim", &t);
+    if (have_lp && (lp == 0 || lp > benchSites))
+        fatal("--lp must be in [1, ", benchSites, "], got ", lp);
+    if (have_t && !have_lp)
+        fatal("--threads-per-sim needs --lp");
+    if (have_t && (t == 0 || t > lp))
+        fatal("--threads-per-sim must be in [1, --lp = ", lp,
+              "], got ", t);
+    *lps = static_cast<std::uint32_t>(lp);
+    *threads = static_cast<std::size_t>(have_t ? t : lp);
+}
+
 } // namespace
 
 int
@@ -220,26 +248,19 @@ main(int argc, char **argv)
     const bool smoke = topts.smoke;
     std::uint32_t extra_lp = 0;
     std::size_t extra_threads = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--lp") == 0 && i + 1 < argc) {
-            extra_lp = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--threads-per-sim") == 0
-                   && i + 1 < argc) {
-            extra_threads = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        }
+    try {
+        extraPointArgs(argc, argv, &extra_lp, &extra_threads);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "bench_pdes: %s\n", e.what());
+        return 2;
     }
 
     const InjectorConfig cfg = benchConfig(smoke);
     std::vector<PdesBenchPoint> points;
     for (const std::uint32_t lps : {1u, 2u, 4u})
         points.push_back(timePoint(cfg, lps, lps, topts));
-    if (extra_lp > 0) {
-        points.push_back(timePoint(
-            cfg, extra_lp,
-            extra_threads > 0 ? extra_threads : extra_lp, topts));
-    }
+    if (extra_lp > 0)
+        points.push_back(timePoint(cfg, extra_lp, extra_threads, topts));
 
     bool ok = true;
     for (const PdesBenchPoint &p : points) {
@@ -306,8 +327,8 @@ main(int argc, char **argv)
                 speedup2, speedup4, scaling);
 
     // The 4-LP point's per-LP breakdown goes into the pinned JSON:
-    // busy (drain+exec) and blocked wall per LP sum to roughly
-    // wall_sec_4lp x active workers, so a slow point explains itself.
+    // with one LP per worker, drain + exec + blocked + spin wall per
+    // LP sum to roughly wall_sec_4lp, so a slow point explains itself.
     const PdesBenchPoint &p4 = points[2];
     const PdesLoadReport &load4 = p4.run.load;
     std::string json = "{\"bench\":\"pdes\",\"grid\":\"16x16\",";
@@ -354,6 +375,10 @@ main(int argc, char **argv)
                       [](const PdesLpLoad &l) {
                           return l.blockedWallNs;
                       })
+        + ",";
+    json += "\"lp_spin_wall_ns_4lp\":"
+        + jsonLpArray(load4,
+                      [](const PdesLpLoad &l) { return l.spinWallNs; })
         + ",";
     json += "\"lp_posts_4lp\":"
         + jsonLpArray(load4,

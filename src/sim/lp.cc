@@ -37,6 +37,30 @@ LogicalProcess::drainInboxes()
 }
 
 void
+LogicalProcess::publishEot(Tick next, Tick eit)
+{
+    // Only an advance is published: that guards the stale-eit case
+    // where another LP's EOT was read early, so EOTs never move back.
+    const Tick base = std::min(next, eit);
+    const Tick look = sched_.lookahead();
+    const Tick eot = base > maxTick - look ? maxTick : base + look;
+    const Tick prevEot = eot_.load(std::memory_order_relaxed);
+    if (eot <= prevEot)
+        return;
+    // Advance histogram: an advance is event-driven when a pending
+    // local event (not the granted horizon) sets the base, i.e. real
+    // model progress; otherwise the EOT merely ratcheted along
+    // behind the other LPs' horizons.
+    if (next < eit)
+        ++metrics_.eotEventAdvances;
+    else
+        ++metrics_.eotRatchetAdvances;
+    if (eot != maxTick)
+        metrics_.eotAdvanceTicks += eot - prevEot;
+    eot_.store(eot, std::memory_order_seq_cst);
+}
+
+void
 LogicalProcess::publishState(bool idle, bool worked)
 {
     if (!worked && idle == lastIdle_)
@@ -82,11 +106,38 @@ LogicalProcess::step(Tick limit)
     if (timing)
         t1 = WallClock::now();
 
-    // 3. Execute strictly below the horizon (and never past limit).
+    // 3. Execute the granted window [now, min(eit - 1, limit)] in
+    // chunks of at most one lookahead, republishing the EOT before
+    // the first chunk and after each one. Every message this LP sends
+    // from here on is caused by a local event at or after
+    // min(next, eit) — later drains only bring ticks >= eit — so it
+    // carries a timestamp >= min(next, eit) + lookahead: the bound
+    // holds at any point inside the window, not only at its end, and
+    // publishing it early lets the other LPs start their next window
+    // while this one is still running. Chunk boundaries fall between
+    // ticks, so the execution order is the single runUntil's.
     std::uint64_t ran = 0;
     const Tick nowBefore = sim_.now();
-    if (eit > 0)
-        ran = sim_.events().runUntil(std::min(eit - 1, limit));
+    const Tick look = sched_.lookahead();
+    Tick next = sim_.events().peekNextTick();
+    publishEot(next, eit);
+    const Tick end = eit > 0 ? std::min(eit - 1, limit) : 0;
+    while (eit > 0 && next <= end) {
+        const Tick chunkEnd =
+            look == 0 || end - next < look ? end : next + look - 1;
+        const std::uint64_t chunk = sim_.events().runUntil(chunkEnd);
+        ran += chunk;
+        const Tick published = eot_.load(std::memory_order_relaxed);
+        if (chunk > 0 && published != maxTick) {
+            const Tick base = published - std::min(published, look);
+            if (sim_.now() > base) {
+                metrics_.maxUnpublishedTicks = std::max<std::uint64_t>(
+                    metrics_.maxUnpublishedTicks, sim_.now() - base);
+            }
+        }
+        next = sim_.events().peekNextTick();
+        publishEot(next, eit);
+    }
     executed_ += ran;
     if (ran > 0) {
         metrics_.consumedTicks += sim_.now() - nowBefore;
@@ -94,31 +145,7 @@ LogicalProcess::step(Tick limit)
             metrics_.maxRoundExecuted = ran;
     }
 
-    // 4. Publish the new output horizon. After step 3 every local
-    // event below eit has run, so the next local tick is >= eit
-    // whenever the queue kept us busy; EOT = min(next, eit) +
-    // lookahead is therefore monotone (the max() guards the stale-eit
-    // case where another LP's EOT was read early).
-    const Tick next = sim_.events().peekNextTick();
-    const Tick base = std::min(next, eit);
-    const Tick look = sched_.lookahead();
-    const Tick eot = base > maxTick - look ? maxTick : base + look;
-    const Tick prevEot = eot_.load(std::memory_order_relaxed);
-    if (eot > prevEot) {
-        // Advance histogram: an advance is event-driven when a
-        // pending local event (not the granted horizon) sets the
-        // base, i.e. real model progress; otherwise the EOT merely
-        // ratcheted along behind the other LPs' horizons.
-        if (next < eit)
-            ++metrics_.eotEventAdvances;
-        else
-            ++metrics_.eotRatchetAdvances;
-        if (eot != maxTick)
-            metrics_.eotAdvanceTicks += eot - prevEot;
-        eot_.store(eot, std::memory_order_seq_cst);
-    }
-
-    // 5. Publish idle state, then release the drained messages'
+    // 4. Publish idle state, then release the drained messages'
     // in-flight counts. The order matters for termination: a checker
     // that sees in-flight == 0 is guaranteed to also see this step's
     // version bump (and re-check the idle bit we just computed).

@@ -60,6 +60,13 @@ struct LpMetrics
     std::uint64_t eotRatchetAdvances = 0;
     /** Total ticks the published EOT moved (finite advances only). */
     std::uint64_t eotAdvanceTicks = 0;
+    /**
+     * Most simulated ticks an executed event ran past the base of the
+     * EOT published before it (EOT - lookahead). step() republishes
+     * after every lookahead-wide chunk, so this stays <= lookahead;
+     * a larger value means the peers waited on a stale horizon.
+     */
+    std::uint64_t maxUnpublishedTicks = 0;
     /** Ticks of horizon granted by the other LPs (EIT growth). */
     std::uint64_t grantedTicks = 0;
     /** Ticks of simulated time actually consumed executing. */
@@ -70,6 +77,12 @@ struct LpMetrics
     double execWallNs = 0.0;
     /** Wall-clock spent in rounds that made no progress, ns. */
     double blockedWallNs = 0.0;
+    /**
+     * Wall-clock the owning worker spent between steps in the
+     * termination check and yield, ns. A worker that owns several
+     * LPs charges each of them its whole spin: none was stepped.
+     */
+    double spinWallNs = 0.0;
 };
 
 class LogicalProcess
@@ -89,7 +102,9 @@ class LogicalProcess
      * One round of the horizon protocol: compute the earliest input
      * time from the other LPs' EOTs, drain every inbound channel into
      * the local queue, execute strictly below the horizon (capped at
-     * @p limit, inclusive), publish the new EOT and idle state.
+     * @p limit, inclusive) in chunks of at most one lookahead,
+     * republishing the EOT after each chunk, then publish the idle
+     * state.
      *
      * Must only be called by the worker thread that owns this LP.
      *
@@ -121,12 +136,20 @@ class LogicalProcess
      *  read from other threads only after the run has joined. */
     const LpMetrics &metrics() const { return metrics_; }
 
+    /** Charge @p ns of between-step spin to this LP's metrics. Only
+     *  the worker thread that owns this LP may call it. */
+    void addSpinWallNs(double ns) { metrics_.spinWallNs += ns; }
+
   private:
     /** Drain every inbound channel into the local queue as keyed
      *  events. @return messages drained (in-flight count is released
      *  by step() only after the state word is republished — the
      *  termination check depends on that order). */
     std::uint64_t drainInboxes();
+
+    /** Publish EOT = min(next, eit) + lookahead if it advances the
+     *  current one (EOTs are monotone), classifying the advance. */
+    void publishEot(Tick next, Tick eit);
 
     void publishState(bool idle, bool worked);
 

@@ -1,6 +1,7 @@
 #include "sim/pdes_scheduler.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -100,11 +101,13 @@ PdesScheduler::registerStats()
         s.add("eot_event_advances", u64(m.eotEventAdvances));
         s.add("eot_ratchet_advances", u64(m.eotRatchetAdvances));
         s.add("eot_advance_ticks", u64(m.eotAdvanceTicks));
+        s.add("max_unpublished_ticks", u64(m.maxUnpublishedTicks));
         s.add("granted_ticks", u64(m.grantedTicks));
         s.add("consumed_ticks", u64(m.consumedTicks));
         s.add("drain_wall_ns", [&m] { return m.drainWallNs; });
         s.add("exec_wall_ns", [&m] { return m.execWallNs; });
         s.add("blocked_wall_ns", [&m] { return m.blockedWallNs; });
+        s.add("spin_wall_ns", [&m] { return m.spinWallNs; });
     }
     for (std::uint32_t src = 0; src < n; ++src) {
         for (std::uint32_t dst = 0; dst < n; ++dst) {
@@ -196,7 +199,6 @@ PdesScheduler::post(std::uint32_t src_lp, std::uint32_t dst_lp,
     // as neither in flight nor scheduled.
     inFlight_.fetch_add(1, std::memory_order_seq_cst);
     channel(src_lp, dst_lp).push(ev);
-    crossPosts_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool
@@ -226,19 +228,31 @@ PdesScheduler::tryFinish()
 void
 PdesScheduler::workerLoop(std::size_t worker, Tick limit)
 {
+    using WallClock = std::chrono::steady_clock;
     const std::size_t stride = activeWorkers_;
     const std::uint32_t n = lpCount();
+    const std::uint32_t first = static_cast<std::uint32_t>(worker);
     while (!done_.load(std::memory_order_seq_cst)) {
         bool progress = false;
-        for (std::uint32_t i = static_cast<std::uint32_t>(worker);
-             i < n; i += stride) {
+        for (std::uint32_t i = first; i < n; i += stride)
             progress = lps_[i]->step(limit) || progress;
-        }
-        if (!progress) {
-            if (tryFinish())
-                break;
+        if (progress)
+            continue;
+        WallClock::time_point t0{};
+        if (metricsTiming_)
+            t0 = WallClock::now();
+        const bool finished = tryFinish();
+        if (!finished)
             std::this_thread::yield();
+        if (metricsTiming_) {
+            const double ns = std::chrono::duration<double, std::nano>(
+                                  WallClock::now() - t0)
+                                  .count();
+            for (std::uint32_t i = first; i < n; i += stride)
+                lps_[i]->addSpinWallNs(ns);
         }
+        if (finished)
+            break;
     }
 }
 
@@ -275,6 +289,17 @@ PdesScheduler::run(Tick limit)
     for (const auto &lp : lps_)
         after += lp->executed();
     return after - before;
+}
+
+std::uint64_t
+PdesScheduler::crossPosts() const
+{
+    std::uint64_t total = 0;
+    for (const auto &ch : channels_) {
+        if (ch)
+            total += ch->posts();
+    }
+    return total;
 }
 
 std::uint64_t
@@ -324,11 +349,13 @@ PdesScheduler::loadReport() const
         row.maxRoundExecuted = m.maxRoundExecuted;
         row.eotEventAdvances = m.eotEventAdvances;
         row.eotRatchetAdvances = m.eotRatchetAdvances;
+        row.maxUnpublishedTicks = m.maxUnpublishedTicks;
         row.grantedTicks = m.grantedTicks;
         row.consumedTicks = m.consumedTicks;
         row.drainWallNs = m.drainWallNs;
         row.execWallNs = m.execWallNs;
         row.blockedWallNs = m.blockedWallNs;
+        row.spinWallNs = m.spinWallNs;
         for (std::uint32_t d = 0; d < n; ++d) {
             if (d == i)
                 continue;
@@ -389,11 +416,11 @@ PdesLoadReport::print(std::ostream &os) const
     os << buf;
     std::snprintf(buf, sizeof(buf),
                   "  %3s %6s %10s %9s %8s %7s %7s %18s %17s %10s %10s"
-                  " %11s\n",
+                  " %11s %9s\n",
                   "lp", "sites", "events", "drained", "posts",
                   "spills", "peak_q", "rounds(prog/blk)",
                   "eot(evt/ratchet)", "drain_ms", "exec_ms",
-                  "blocked_ms");
+                  "blocked_ms", "spin_ms");
     os << buf;
     for (const PdesLpLoad &row : lps) {
         char rounds[48];
@@ -408,14 +435,14 @@ PdesLoadReport::print(std::ostream &os) const
         std::snprintf(
             buf, sizeof(buf),
             "  %3u %6llu %10llu %9llu %8llu %7llu %7llu %18s %17s "
-            "%10.3f %10.3f %11.3f\n",
+            "%10.3f %10.3f %11.3f %9.3f\n",
             row.lp, static_cast<Ull>(row.sites),
             static_cast<Ull>(row.executed),
             static_cast<Ull>(row.drained), static_cast<Ull>(row.posts),
             static_cast<Ull>(row.spills),
             static_cast<Ull>(row.peakDepth), rounds, eot,
             row.drainWallNs / 1e6, row.execWallNs / 1e6,
-            row.blockedWallNs / 1e6);
+            row.blockedWallNs / 1e6, row.spinWallNs / 1e6);
         os << buf;
     }
 }

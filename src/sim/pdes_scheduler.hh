@@ -12,18 +12,37 @@
  *   - an LP's earliest input time (EIT) is the minimum EOT over the
  *     other LPs, and it may safely execute local events strictly
  *     below its EIT;
- *   - after draining its inboxes and executing, it republishes
+ *   - after draining its inboxes it publishes
  *       EOT = min(next local event tick, EIT) + lookahead,
  *     where lookahead is a physical lower bound on cross-LP message
  *     latency — for the macrochip, the minimum inter-site optical
  *     propagation delay (plus per-topology interface overheads),
- *     thousands of ticks at ps resolution.
+ *     hundreds to thousands of ticks at ps resolution — and
+ *     republishes it after every lookahead-wide chunk of its window.
  *
- * EOTs are monotone, so EITs only grow; lookahead > 0 gives liveness
- * (two mutually-blocked LPs ratchet each other forward by one
- * lookahead per round). Safety: a message not yet visible when an LP
- * drains was sent after the LP read the sender's EOT, and therefore
- * carries a timestamp >= that EOT >= the EIT the LP executes below.
+ * Safety of the inputs: a message not yet visible when an LP drains
+ * was sent after the LP read the sender's EOT, and therefore carries
+ * a timestamp >= that EOT >= the EIT the LP executes below.
+ *
+ * Safety of publishing inside a window: once an LP has drained, every
+ * local event it will ever execute is at or after min(next, EIT) —
+ * later drains only bring ticks >= EIT — and any message it sends is
+ * caused by such an event, so it carries a timestamp >= min(next,
+ * EIT) + lookahead. The bound therefore holds at any point of the
+ * window, and the LP may republish it with the then-current next
+ * after each chunk, not only once the whole window has run.
+ *
+ * Liveness: EOTs are monotone, so EITs only grow, and lookahead > 0
+ * means the LP holding the smallest EOT can always run and then raise
+ * it, so the global horizon keeps advancing. Why the
+ * chunking matters: with one publication per window, two mutually
+ * dependent LPs fall into turn-taking. Once one leads, the other is
+ * granted the leader's whole 2 x lookahead window only when the
+ * leader finishes it, runs that window while the leader waits, and
+ * publishes only at its end, so the two alternate instead of
+ * overlapping and that state sustains itself. Republishing after
+ * each lookahead of simulated time lets the peer start its next
+ * window while this one is still running.
  *
  * Cross-LP messages travel through bounded SPSC channels (spsc.hh)
  * as PdesEvents — (timestamp, key, apply-function, opaque payload) —
@@ -82,6 +101,7 @@ struct PdesLpLoad
     std::uint64_t maxRoundExecuted = 0;
     std::uint64_t eotEventAdvances = 0;
     std::uint64_t eotRatchetAdvances = 0;
+    std::uint64_t maxUnpublishedTicks = 0;
     std::uint64_t grantedTicks = 0;
     std::uint64_t consumedTicks = 0;
     /** Outgoing cross-LP posts / spills / peak channel depth. */
@@ -91,6 +111,7 @@ struct PdesLpLoad
     double drainWallNs = 0.0;
     double execWallNs = 0.0;
     double blockedWallNs = 0.0;
+    double spinWallNs = 0.0;
 
     /** drain + exec wall time (the LP's useful work), ns. */
     double busyWallNs() const { return drainWallNs + execWallNs; }
@@ -249,12 +270,10 @@ class PdesScheduler
      */
     std::uint64_t run(Tick limit = maxTick);
 
-    /** Cross-LP events posted since construction. */
-    std::uint64_t
-    crossPosts() const
-    {
-        return crossPosts_.load(std::memory_order_relaxed);
-    }
+    /** Cross-LP events posted since construction. Sums the channels'
+     *  producer-side counters, so call it only after run() returns
+     *  (or from the single thread that posts). */
+    std::uint64_t crossPosts() const;
 
     /** Channel-ring overflows since construction (healthy runs: 0,
      *  but any value is correct — overflow spills, never drops). */
@@ -262,9 +281,11 @@ class PdesScheduler
 
     /**
      * Enable wall-clock round timing in every LP's step (two
-     * steady_clock reads per round). Off by default so the horizon
-     * protocol's hot loop stays clock-free; the timed benches turn it
-     * on to fill the report's busy/blocked breakdown.
+     * steady_clock reads per round) and around each worker's
+     * between-step termination check and yield (spinWallNs). Off by
+     * default so the horizon protocol's hot loop stays clock-free;
+     * the timed benches turn it on to fill the report's
+     * busy/blocked/spin breakdown.
      */
     void setMetricsTiming(bool on) { metricsTiming_ = on; }
     bool metricsTiming() const { return metricsTiming_; }
@@ -324,9 +345,11 @@ class PdesScheduler
     std::vector<void *> targets_;
     std::vector<std::uint32_t> siteLp_;
 
-    std::atomic<std::uint64_t> inFlight_{0};
-    std::atomic<bool> done_{false};
-    std::atomic<std::uint64_t> crossPosts_{0};
+    /** Each on its own cache line: every cross-LP post and drain
+     *  touches inFlight_, and every worker polls done_ once per loop
+     *  iteration. */
+    alignas(64) std::atomic<std::uint64_t> inFlight_{0};
+    alignas(64) std::atomic<bool> done_{false};
 };
 
 } // namespace macrosim

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -508,8 +509,12 @@ TEST(PdesObservabilityRun, LoadReportInternalConsistency)
     obs.timing = true;
     std::string metrics;
     obs.metricsOut = &metrics;
+    const auto t0 = std::chrono::steady_clock::now();
     const PdesInjectorResult r =
         runOpenLoopPdes(pt2ptFactory(), cfg, 4, 2, &obs);
+    const double wallNs = std::chrono::duration<double, std::nano>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
     const PdesLoadReport &load = r.load;
     ASSERT_EQ(load.lps.size(), 4u);
     EXPECT_TRUE(load.timed);
@@ -522,8 +527,14 @@ TEST(PdesObservabilityRun, LoadReportInternalConsistency)
         EXPECT_EQ(lp.rounds, lp.progressRounds + lp.blockedRounds);
         EXPECT_GT(lp.rounds, 0u);
         EXPECT_GE(lp.maxRoundExecuted, 1u);
-        // Every round is classified somewhere in the wall split.
+        // Every round is classified somewhere in the wall split, and
+        // the split never claims more time than the run took.
         EXPECT_GT(lp.busyWallNs(), 0.0);
+        EXPECT_GE(lp.spinWallNs, 0.0);
+        EXPECT_LE(lp.drainWallNs + lp.execWallNs + lp.blockedWallNs
+                      + lp.spinWallNs,
+                  wallNs)
+            << "LP " << lp.lp;
         executed += lp.executed;
         drained += lp.drained;
         posts += lp.posts;
@@ -540,6 +551,9 @@ TEST(PdesObservabilityRun, LoadReportInternalConsistency)
     EXPECT_NE(metrics.find("pdes.lp0.executed"), std::string::npos);
     EXPECT_NE(metrics.find("pdes.lp3.granted_ticks"),
               std::string::npos);
+    EXPECT_NE(metrics.find("pdes.lp1.spin_wall_ns"), std::string::npos);
+    EXPECT_NE(metrics.find("pdes.lp2.max_unpublished_ticks"),
+              std::string::npos);
     EXPECT_NE(metrics.find("pdes.ch0_1.posts"), std::string::npos);
     EXPECT_NE(metrics.find("pdes.ch3_2.peak_depth"),
               std::string::npos);
@@ -547,6 +561,34 @@ TEST(PdesObservabilityRun, LoadReportInternalConsistency)
     std::ostringstream table;
     load.print(table);
     EXPECT_NE(table.str().find("critical=lp"), std::string::npos);
+    EXPECT_NE(table.str().find("spin_ms"), std::string::npos);
+}
+
+TEST(PdesObservabilityRun, EotIsRepublishedWithinEachLookahead)
+{
+    // Each LP republishes its EOT after every lookahead of simulated
+    // time it executes, so no event ever runs more than one lookahead
+    // past the base of the EOT its peers can see. Publishing only at
+    // the end of a granted window (min(EIT - 1, limit)) breaks the
+    // bound, and every advance it makes is a ratchet on the EIT:
+    // the 2-LP run must also show event-driven advances.
+    const InjectorConfig cfg = pdesCfg(0.10, 31);
+    const PdesInjectorResult two =
+        runOpenLoopPdes(pt2ptFactory(), cfg, 2, 2);
+    const PdesInjectorResult four =
+        runOpenLoopPdes(pt2ptFactory(), cfg, 4, 1);
+    ASSERT_EQ(two.load.lps.size(), 2u);
+    ASSERT_EQ(four.load.lps.size(), 4u);
+    for (const PdesInjectorResult *r : {&two, &four}) {
+        for (const PdesLpLoad &lp : r->load.lps) {
+            EXPECT_GT(lp.maxUnpublishedTicks, 0u) << "LP " << lp.lp;
+            EXPECT_LE(lp.maxUnpublishedTicks, r->load.lookahead)
+                << r->load.lps.size() << " LPs, LP " << lp.lp;
+        }
+    }
+    for (const PdesLpLoad &lp : two.load.lps)
+        EXPECT_GT(lp.eotEventAdvances, 0u) << "LP " << lp.lp;
+    expectIdentical(two.result, four.result);
 }
 
 TEST(PdesObservabilityRun, UntimedRunLeavesWallColumnsZero)
@@ -559,6 +601,7 @@ TEST(PdesObservabilityRun, UntimedRunLeavesWallColumnsZero)
         EXPECT_EQ(lp.drainWallNs, 0.0);
         EXPECT_EQ(lp.execWallNs, 0.0);
         EXPECT_EQ(lp.blockedWallNs, 0.0);
+        EXPECT_EQ(lp.spinWallNs, 0.0);
         EXPECT_GT(lp.rounds, 0u);
     }
 }
