@@ -121,15 +121,31 @@ saturated(const InjectorResult &r)
         || r.deliveredPct < 0.95 * r.offeredMeasuredPct;
 }
 
-/** @p v rendered with printf @p fmt, or JSON null when non-finite. */
+/** @p v rendered with printf @p fmt, or @p nonFinite when it is not
+ *  finite. */
 std::string
-jsonValue(double v, const char *fmt = "%.6f")
+formatValue(double v, const char *fmt, const char *nonFinite)
 {
     if (!std::isfinite(v))
-        return "null";
+        return nonFinite;
     char buf[64];
     std::snprintf(buf, sizeof(buf), fmt, v);
     return buf;
+}
+
+/** @p v for the JSON: null when non-finite. */
+std::string
+jsonValue(double v, const char *fmt = "%.6f")
+{
+    return formatValue(v, fmt, "null");
+}
+
+/** @p v for the stdout CSV: "-", the placeholder of the fields an
+ *  infeasible row lacks, when non-finite. */
+std::string
+csvValue(double v, const char *fmt)
+{
+    return formatValue(v, fmt, "-");
 }
 
 /** Positive-integer flag on top of the shared stripNumberFlag(). */
@@ -243,31 +259,32 @@ main(int argc, char **argv)
     json << "{\n  \"bench\": \"scaling\",\n  \"points\": [\n";
     bool first = true;
     for (const Point &p : points) {
-        char line[256];
-        if (p.simulated) {
-            std::snprintf(line, sizeof(line),
-                          "%ux%u,%s,yes,%.2f,%.2f,%.2f,%.1f,%.1f,"
-                          "%.1f,%.1f,%.2f,%.3f\n",
-                          p.grid.rows, p.grid.cols,
-                          netName(p.id).c_str(),
-                          p.feas.totalLoss.value(),
-                          p.feas.requiredLaunch.value(),
-                          p.feas.margin.value(), p.laserW, p.staticW,
-                          p.traffic.meanLatencyNs,
-                          p.traffic.p99LatencyNs,
-                          p.traffic.deliveredPct, p.energyMj);
-        } else {
-            std::snprintf(line, sizeof(line),
-                          "%ux%u,%s,infeasible,%.2f,%.2f,%.2f,%.1f,"
-                          "%.1f,-,-,-,-\n",
-                          p.grid.rows, p.grid.cols,
-                          netName(p.id).c_str(),
-                          p.feas.totalLoss.value(),
-                          p.feas.requiredLaunch.value(),
-                          p.feas.margin.value(), p.laserW,
-                          p.staticW);
+        const auto simulatedCsv = [&p](double v, const char *fmt) {
+            return p.simulated ? csvValue(v, fmt) : std::string("-");
+        };
+        const std::string fields[] = {
+            csvValue(p.feas.totalLoss.value(), "%.2f"),
+            csvValue(p.feas.requiredLaunch.value(), "%.2f"),
+            csvValue(p.feas.margin.value(), "%.2f"),
+            csvValue(p.laserW, "%.1f"),
+            csvValue(p.staticW, "%.1f"),
+            simulatedCsv(p.traffic.meanLatencyNs, "%.1f"),
+            simulatedCsv(p.traffic.p99LatencyNs, "%.1f"),
+            simulatedCsv(p.traffic.deliveredPct, "%.2f"),
+            simulatedCsv(p.energyMj, "%.3f"),
+        };
+        std::string line = std::to_string(p.grid.rows);
+        line += 'x';
+        line += std::to_string(p.grid.cols);
+        line += ',';
+        line += netName(p.id);
+        line += p.simulated ? ",yes" : ",infeasible";
+        for (const std::string &f : fields) {
+            line += ',';
+            line += f;
         }
-        std::fputs(line, stdout);
+        line += '\n';
+        std::fputs(line.c_str(), stdout);
 
         const auto simulatedValue = [&p](double v) {
             return p.simulated ? jsonValue(v) : std::string("null");

@@ -21,25 +21,26 @@ namespace
  *  default before launching them. */
 std::atomic<bool> g_batchDispatchDefault{true};
 
-/** Split an EventId into (gen, slot index); slot is biased by one so
- *  invalidEventId (0) never decodes to a valid slot. */
-constexpr std::uint32_t
-idSlotPlusOne(EventId id)
-{
-    return static_cast<std::uint32_t>(id & 0xffffffffu);
-}
-
+/** EventId layout: generation in the high word; in the low word the
+ *  slot index biased by one (so invalidEventId never decodes to a
+ *  slot) plus EventQueue::batchIdBit for batch-arena slots. */
 constexpr std::uint32_t
 idGen(EventId id)
 {
     return static_cast<std::uint32_t>(id >> 32);
 }
 
+constexpr std::uint32_t
+idLow(EventId id)
+{
+    return static_cast<std::uint32_t>(id & 0xffffffffu);
+}
+
 constexpr EventId
-makeId(std::uint32_t gen, std::uint32_t slot)
+makeId(std::uint32_t gen, std::uint32_t low)
 {
     return (static_cast<EventId>(gen) << 32) |
-           static_cast<EventId>(slot + 1);
+           static_cast<EventId>(low);
 }
 
 } // namespace
@@ -57,35 +58,71 @@ setBatchDispatchDefault(bool on)
 }
 
 std::uint32_t
-EventQueue::allocSlot(Callback cb, const char *tag)
+EventQueue::allocPlain(Callback &&cb, const char *tag)
 {
     std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
+    if (!freePlain_.empty()) {
+        slot = freePlain_.back();
+        freePlain_.pop_back();
     } else {
-        if (slots_.size() >
-            std::numeric_limits<std::uint32_t>::max() - 2) {
-            panic("EventQueue: slot arena overflow (", slots_.size(),
+        if (plainCells_ >= batchIdBit - 1) {
+            panic("EventQueue: plain arena overflow (", plainCells_,
                   " concurrent events)");
         }
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
+        slot = plainCells_++;
+        if (slot % plainChunkCells == 0) {
+            plainChunks_.push_back(
+                std::make_unique<PlainCell[]>(plainChunkCells));
+        }
     }
-    slots_[slot].cb = std::move(cb);
-    slots_[slot].tag = tag;
+    PlainCell &c = plainCell(slot);
+    c.cb = std::move(cb);
+    c.tag = tag;
+    return slot;
+}
+
+std::uint32_t
+EventQueue::allocBatch(std::uint32_t payload)
+{
+    std::uint32_t slot;
+    if (!freeBatch_.empty()) {
+        slot = freeBatch_.back();
+        freeBatch_.pop_back();
+    } else {
+        if (batchSlots_.size() >= batchIdBit - 1) {
+            panic("EventQueue: batch arena overflow (",
+                  batchSlots_.size(), " concurrent events)");
+        }
+        slot = static_cast<std::uint32_t>(batchSlots_.size());
+        batchSlots_.emplace_back();
+    }
+    BatchSlot &s = batchSlots_[slot];
+    s.payload = payload;
+    s.live = true;
     return slot;
 }
 
 void
-EventQueue::freeSlot(std::uint32_t slot)
+EventQueue::freeTombstone(const HeapRecord &rec)
 {
-    Slot &s = slots_[slot];
-    s.cb = nullptr;
-    s.kernel = 0;
-    s.tombstone = false;
-    ++s.gen; // stale EventIds now fail the generation check
-    freeSlots_.push_back(slot);
+    if (rec.kernel != 0) {
+        batchSlots_[rec.slot].tombstone = false;
+        freeBatch_.push_back(rec.slot);
+    } else {
+        plainCell(rec.slot).tombstone = false;
+        freePlain_.push_back(rec.slot);
+    }
+}
+
+void
+EventQueue::pushRecord(const HeapRecord &rec)
+{
+    heap_.push_back(rec);
+    siftUp(heap_.size() - 1);
+    ++pending_;
+    ++stats_.scheduled;
+    if (pending_ > stats_.peakPending)
+        stats_.peakPending = pending_;
 }
 
 EventId
@@ -97,14 +134,9 @@ EventQueue::schedule(Tick when, Callback cb, const char *tag)
     }
     if (!cb)
         panic("EventQueue::schedule: empty callback");
-    const std::uint32_t slot = allocSlot(std::move(cb), tag);
-    heap_.push_back(HeapRecord{when, nextSeq_++, slot});
-    siftUp(heap_.size() - 1);
-    ++pending_;
-    ++stats_.scheduled;
-    if (pending_ > stats_.peakPending)
-        stats_.peakPending = pending_;
-    return makeId(slots_[slot].gen, slot);
+    const std::uint32_t slot = allocPlain(std::move(cb), tag);
+    pushRecord(HeapRecord{when, nextSeq_++, slot});
+    return makeId(plainCell(slot).gen, slot + 1);
 }
 
 EventId
@@ -120,14 +152,9 @@ EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback cb,
               "keyed-record marker bit");
     if (!cb)
         panic("EventQueue::scheduleKeyed: empty callback");
-    const std::uint32_t slot = allocSlot(std::move(cb), tag);
-    heap_.push_back(HeapRecord{when, keyedSeqBit | key, slot});
-    siftUp(heap_.size() - 1);
-    ++pending_;
-    ++stats_.scheduled;
-    if (pending_ > stats_.peakPending)
-        stats_.peakPending = pending_;
-    return makeId(slots_[slot].gen, slot);
+    const std::uint32_t slot = allocPlain(std::move(cb), tag);
+    pushRecord(HeapRecord{when, keyedSeqBit | key, slot});
+    return makeId(plainCell(slot).gen, slot + 1);
 }
 
 std::uint16_t
@@ -157,17 +184,9 @@ EventQueue::scheduleBatch(Tick when, std::uint16_t kernel,
         panic("EventQueue::scheduleBatch: unregistered kernel id ",
               kernel);
     }
-    const std::uint32_t slot =
-        allocSlot(Callback(), kernels_[kernel - 1].tag);
-    slots_[slot].payload = payload;
-    slots_[slot].kernel = kernel;
-    heap_.push_back(HeapRecord{when, nextSeq_++, slot, kernel});
-    siftUp(heap_.size() - 1);
-    ++pending_;
-    ++stats_.scheduled;
-    if (pending_ > stats_.peakPending)
-        stats_.peakPending = pending_;
-    return makeId(slots_[slot].gen, slot);
+    const std::uint32_t slot = allocBatch(payload);
+    pushRecord(HeapRecord{when, nextSeq_++, slot, kernel});
+    return makeId(batchSlots_[slot].gen, batchIdBit | (slot + 1));
 }
 
 Tick
@@ -180,18 +199,33 @@ EventQueue::peekNextTick()
 bool
 EventQueue::cancel(EventId id)
 {
-    const std::uint32_t biased = idSlotPlusOne(id);
-    if (biased == 0 || biased > slots_.size())
+    const std::uint32_t low = idLow(id);
+    const std::uint32_t biased = low & ~batchIdBit;
+    if (biased == 0)
         return false;
-    Slot &s = slots_[biased - 1];
-    // A live slot holds a callback or a batch kernel id;
-    // executed/cancelled/free slots hold neither, and recycled slots
-    // fail the generation check.
-    if ((!s.cb && s.kernel == 0) || s.tombstone || idGen(id) != s.gen)
-        return false;
-    s.tombstone = true;
-    s.cb = nullptr; // release captured state immediately
-    s.kernel = 0;
+    const std::uint32_t slot = biased - 1;
+    // Only a live slot matches its id's generation: running,
+    // executed, cancelled and recycled slots have all bumped theirs,
+    // and a free slot is not live.
+    if ((low & batchIdBit) != 0) {
+        if (slot >= batchSlots_.size())
+            return false;
+        BatchSlot &s = batchSlots_[slot];
+        if (!s.live || s.gen != idGen(id))
+            return false;
+        s.live = false;
+        ++s.gen;
+        s.tombstone = true;
+    } else {
+        if (slot >= plainCells_)
+            return false;
+        PlainCell &c = plainCell(slot);
+        if (!c.cb || c.gen != idGen(id))
+            return false;
+        ++c.gen;
+        c.tombstone = true;
+        c.cb = nullptr; // release captured state immediately
+    }
     --pending_;
     ++tombstones_;
     ++stats_.cancelled;
@@ -250,8 +284,8 @@ EventQueue::popRoot()
 void
 EventQueue::skipCancelled()
 {
-    while (!heap_.empty() && slots_[heap_[0].slot].tombstone) {
-        freeSlot(heap_[0].slot);
+    while (!heap_.empty() && isTombstone(heap_[0])) {
+        freeTombstone(heap_[0]);
         --tombstones_;
         popRoot();
     }
@@ -293,28 +327,31 @@ void
 EventQueue::executeRoot()
 {
     const HeapRecord root = heap_[0];
-    Callback cb = std::move(slots_[root.slot].cb);
-    const char *tag = slots_[root.slot].tag;
+    PlainCell &cell = plainCell(root.slot);
+    ++cell.gen; // a callback cancelling its own id gets false
     now_ = root.when;
-    freeSlot(root.slot);
     popRoot();
     --pending_;
     noteExecuted(root.when, 1);
     // All bookkeeping is consistent before the callback runs, so it
-    // may freely schedule() and cancel() (and grow the arena).
+    // may freely schedule() and cancel(). Its cell is on neither the
+    // heap nor the free list until it returns, and chunks never move,
+    // so the callback runs in place even if the arena grows under it.
     if (!profiling_) {
-        cb();
-        return;
+        cell.cb();
+    } else {
+        using Clock = std::chrono::steady_clock;
+        const Clock::time_point t0 = Clock::now();
+        cell.cb();
+        const double ns =
+            std::chrono::duration<double, std::nano>(Clock::now() - t0)
+                .count();
+        ProfileBucket &bucket = profileBucketFor(cell.tag);
+        ++bucket.count;
+        bucket.wallNs += ns;
     }
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point t0 = Clock::now();
-    cb();
-    const double ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0)
-            .count();
-    ProfileBucket &bucket = profileBucketFor(tag);
-    ++bucket.count;
-    bucket.wallNs += ns;
+    cell.cb = nullptr;
+    freePlain_.push_back(root.slot);
 }
 
 std::uint64_t
@@ -326,8 +363,11 @@ EventQueue::executeBatchRun()
     batchScratch_.clear();
     do {
         const std::uint32_t slot = heap_[0].slot;
-        batchScratch_.push_back(slots_[slot].payload);
-        freeSlot(slot);
+        BatchSlot &s = batchSlots_[slot];
+        batchScratch_.push_back(s.payload);
+        s.live = false;
+        ++s.gen;
+        freeBatch_.push_back(slot);
         popRoot();
         // Tombstones between run members would be skipped by the
         // scalar path too, so dropping them preserves run maximality
@@ -399,8 +439,8 @@ EventQueue::compact()
 {
     std::size_t out = 0;
     for (const HeapRecord &rec : heap_) {
-        if (slots_[rec.slot].tombstone)
-            freeSlot(rec.slot);
+        if (isTombstone(rec))
+            freeTombstone(rec);
         else
             heap_[out++] = rec;
     }

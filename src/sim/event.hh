@@ -6,14 +6,21 @@
  * same-tick events run FIFO and every run is deterministic. Events may
  * be cancelled through the EventId returned by schedule().
  *
- * Layout: an explicit 4-ary heap of small (when, seq, slot) records
- * over a contiguous slot arena that owns the callbacks. An EventId
- * encodes (generation, slot), so cancel() is a bounds check plus two
- * array writes — no hash lookup anywhere on the schedule/cancel/run
- * path. Cancellation tombstones the slot in place and releases the
- * callback immediately (captured state, e.g. Message payloads, is
- * freed promptly); tombstoned heap records are skipped at pop time
- * and swept out wholesale when they exceed half the heap.
+ * Layout: an explicit 4-ary heap of small (when, seq, slot, kernel)
+ * records over two arenas, one per event kind. Plain events
+ * (schedule/scheduleKeyed) own a cell of a chunked arena holding the
+ * InlineCallback; chunks are allocated on first use and never move,
+ * so a callback runs in place in its cell — even while it schedules
+ * into a growing arena — and is never relocated after schedule().
+ * Batch events (scheduleBatch) own a 12-byte record in a dense array
+ * with no callback storage at all. The heap record's kernel id says
+ * which arena its slot indexes, and an EventId encodes (generation,
+ * kind, slot), so cancel() is a bounds check plus a few writes — no
+ * hash lookup anywhere on the schedule/cancel/run path. Cancellation
+ * tombstones the slot in place and releases the callback immediately
+ * (captured state, e.g. Message payloads, is freed promptly);
+ * tombstoned heap records are skipped at pop time and swept out
+ * wholesale when they exceed half the heap.
  *
  * Batched ("coalesced tick") execution: same-tick bursts of
  * homogeneous events are the dominant structure of the hot loops
@@ -25,10 +32,10 @@
  * state). When a maximal run of same-tick records of one kernel
  * reaches the top of the heap, the queue invokes the kernel ONCE
  * with the payloads in execution order instead of N callbacks —
- * per-event dispatch, callback relocation and arena traffic drop out
- * while the observable execution order, stats and tick-observer
- * stream stay exactly those of the equivalent per-event path (see
- * DESIGN.md §14 for the ordering argument).
+ * per-event dispatch and callback storage drop out while the
+ * observable execution order, stats and tick-observer stream stay
+ * exactly those of the equivalent per-event path (see DESIGN.md §14
+ * for the ordering argument).
  */
 
 #ifndef MACROSIM_SIM_EVENT_HH
@@ -36,6 +43,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -52,9 +60,10 @@ class StatRegistry;
 
 /**
  * Opaque identifier for a scheduled event; used for cancellation.
- * Encodes (slot generation << 32 | slot index + 1), so stale handles
- * — already run, already cancelled, or never issued — are rejected in
- * O(1) without any lookup structure.
+ * Encodes the slot's generation, the event kind and the slot index,
+ * so stale handles — already run, already cancelled, or never issued
+ * — are rejected in O(1) without any lookup structure. The values
+ * carry no meaning beyond that; nothing may depend on them.
  */
 using EventId = std::uint64_t;
 
@@ -142,12 +151,19 @@ struct EventProfileEntry
 class EventQueue
 {
   public:
-    /** Scheduled callbacks live inline in the slot arena — captures
-     *  must fit InlineCallback's buffer (compile-time checked), so
-     *  schedule()/execute never touch the heap. std::function still
-     *  converts via a deprecated shim for one release. */
+    /** Scheduled callbacks live inline in the plain-event arena —
+     *  captures must fit InlineCallback's buffer (compile-time
+     *  checked), so schedule()/execute never touch the heap in
+     *  steady state. */
     using Callback = InlineCallback;
 
+    /** Plain-event arena cells per chunk (a power of two, so the
+     *  cell lookup is a shift and a mask). The arena grows one chunk
+     *  at a time and never moves a cell. */
+    static constexpr std::uint32_t plainChunkCells = 1024;
+    static_assert((plainChunkCells & (plainChunkCells - 1)) == 0);
+
+    /** Allocates nothing: arena chunks appear on first schedule(). */
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -241,7 +257,8 @@ class EventQueue
      * reaches the top or a compaction sweeps it.
      *
      * @return true if the event was pending and is now cancelled;
-     *         false if it already ran, was already cancelled, or the
+     *         false if it already ran or is running (a callback
+     *         cancelling its own id), was already cancelled, or the
      *         id is invalid.
      */
     bool cancel(EventId id);
@@ -347,27 +364,41 @@ class EventQueue
      *  records (see maybeCompact()). */
     static constexpr std::uint64_t compactMinTombstones = 64;
 
-    /** Arena cell owning one scheduled callback.
+    /** EventId bit marking a batch-arena slot (set in the low word,
+     *  above the biased slot index). */
+    static constexpr std::uint32_t batchIdBit = 1u << 31;
+
+    /** Arena cell owning one plain callback.
      *
-     *  Lifecycle: free (no cb, no tombstone) -> live (cb set) ->
-     *  either executed (freed straight away) or tombstoned (cb
-     *  destroyed, flag set) until its heap record is popped or swept,
-     *  then free again with gen bumped so stale EventIds miss.
+     *  Lifecycle: free (no cb) -> live (cb set) -> either running
+     *  (gen bumped, cb invoked in place, then destroyed and the cell
+     *  freed) or tombstoned (gen bumped, cb destroyed, flag set)
+     *  until its heap record is popped or swept, then free. Leaving
+     *  the live state bumps gen, so stale EventIds miss.
      */
-    struct Slot
+    struct PlainCell
     {
-        Callback cb;
         /** Profiler tag; nullptr = untagged. Kept even when
          *  profiling is off so the profiler can be flipped on
          *  mid-simulation. */
         const char *tag = nullptr;
-        /** Batch payload; meaningful only when kernel != 0. */
-        std::uint32_t payload = 0;
-        /** Owning batch kernel id; 0 = plain callback slot. */
-        std::uint16_t kernel = 0;
         std::uint32_t gen = 0;
         bool tombstone = false;
+        Callback cb;
     };
+
+    /** Dense record of one batch event: no callback storage (the
+     *  kernel id rides in the heap record, the tag in the kernel
+     *  table). Same lifecycle as PlainCell, with `live` standing in
+     *  for "cb set". */
+    struct BatchSlot
+    {
+        std::uint32_t gen = 0;
+        std::uint32_t payload = 0;
+        bool live = false;
+        bool tombstone = false;
+    };
+    static_assert(sizeof(BatchSlot) == 12);
 
     /** Per-tag profile accumulator (see EventProfileEntry). */
     struct ProfileBucket
@@ -387,12 +418,14 @@ class EventQueue
 
     /** Heap record: 24 bytes, trivially copyable, no callback. The
      *  kernel id rides in what used to be tail padding, so batch
-     *  coalescing can test run membership without touching the slot
+     *  coalescing can test run membership without touching either
      *  arena. */
     struct HeapRecord
     {
         Tick when;
         std::uint64_t seq;
+        /** Index into the plain arena (kernel == 0) or the batch
+         *  arena (kernel != 0). */
         std::uint32_t slot;
         /** 0 = plain callback record; else batch kernel id. */
         std::uint16_t kernel = 0;
@@ -412,8 +445,29 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    std::uint32_t allocSlot(Callback cb, const char *tag);
-    void freeSlot(std::uint32_t slot);
+    PlainCell &
+    plainCell(std::uint32_t slot)
+    {
+        return plainChunks_[slot / plainChunkCells]
+                           [slot % plainChunkCells];
+    }
+
+    /** Whether @p rec was cancelled (its slot is a tombstone). */
+    bool
+    isTombstone(const HeapRecord &rec)
+    {
+        return rec.kernel != 0 ? batchSlots_[rec.slot].tombstone
+                               : plainCell(rec.slot).tombstone;
+    }
+
+    std::uint32_t allocPlain(Callback &&cb, const char *tag);
+    std::uint32_t allocBatch(std::uint32_t payload);
+
+    /** Return a swept tombstone's slot to its arena's free list. */
+    void freeTombstone(const HeapRecord &rec);
+
+    /** Push @p rec onto the heap and account it as pending. */
+    void pushRecord(const HeapRecord &rec);
 
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
@@ -422,7 +476,8 @@ class EventQueue
     /** Drop tombstoned records off the top of the heap. */
     void skipCancelled();
 
-    /** Pop and run the root record. @pre root is pending and plain. */
+    /** Pop the root record and run its callback in place in its
+     *  cell. @pre root is pending and plain. */
     void executeRoot();
 
     /** Pop and run the maximal same-(tick, kernel) run at the top of
@@ -455,8 +510,15 @@ class EventQueue
     void *tickCtx_ = nullptr;
 
     std::vector<HeapRecord> heap_;
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    /** Plain arena: fixed-size chunks, allocated on first use and
+     *  never moved or freed before the queue. */
+    std::vector<std::unique_ptr<PlainCell[]>> plainChunks_;
+    /** Plain cells handed out so far (free or not). */
+    std::uint32_t plainCells_ = 0;
+    std::vector<std::uint32_t> freePlain_;
+    /** Batch arena: trivially copyable, so growth is a memcpy. */
+    std::vector<BatchSlot> batchSlots_;
+    std::vector<std::uint32_t> freeBatch_;
     EventQueueStats stats_;
 
     /** One registered batch kernel (id = index + 1). */

@@ -23,7 +23,6 @@
 #define MACROSIM_SIM_INLINE_CALLBACK_HH
 
 #include <cstddef>
-#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -37,8 +36,8 @@ class InlineCallback
     /** Inline capture budget. Sized for the fattest in-tree capture:
      *  two_phase's [this, Message, Tick, Tick] slot callback (104
      *  bytes), with one pointer of headroom. Grow it if a callsite's
-     *  static_assert fires — but measure first; every Slot in the
-     *  event arena carries this many bytes. */
+     *  static_assert fires — but measure first; every cell of the
+     *  plain-event arena carries this many bytes. */
     static constexpr std::size_t inlineCapacity = 112;
     static constexpr std::size_t inlineAlign = alignof(std::max_align_t);
 
@@ -65,25 +64,6 @@ class InlineCallback
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
                       "capture must be nothrow-move-constructible");
         ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-        ops_ = &opsFor<Fn>;
-    }
-
-    /**
-     * Deprecation shim: accept a std::function<void()> for one
-     * release so out-of-tree callers keep compiling. The function
-     * object itself is stored inline; its own heap block (if the
-     * wrapped capture exceeded std::function's SBO) stays — which is
-     * exactly why this path is deprecated.
-     */
-    [[deprecated(
-        "schedule() now takes macrosim::InlineCallback; pass the "
-        "lambda directly (it must fit the inline buffer)")]]
-    InlineCallback(std::function<void()> fn)
-    {
-        if (!fn)
-            return; // stay empty, like a default-constructed function
-        using Fn = std::function<void()>;
-        ::new (static_cast<void *>(buf_)) Fn(std::move(fn));
         ops_ = &opsFor<Fn>;
     }
 

@@ -202,14 +202,13 @@ PdesScheduler::post(std::uint32_t src_lp, std::uint32_t dst_lp,
 }
 
 bool
-PdesScheduler::tryFinish()
+PdesScheduler::tryFinish(std::vector<std::uint64_t> &words)
 {
     // Snapshot every LP's versioned idle word, require nothing in
     // flight, then require the snapshot unchanged. LPs bump their
     // version before releasing in-flight counts (LogicalProcess::
     // step), so "in flight == 0" implies the words already reflect
     // whichever step drained the last message.
-    std::vector<std::uint64_t> words(lps_.size());
     for (std::size_t i = 0; i < lps_.size(); ++i) {
         words[i] = lps_[i]->stateWord();
         if ((words[i] & 1) == 0)
@@ -232,6 +231,10 @@ PdesScheduler::workerLoop(std::size_t worker, Tick limit)
     const std::size_t stride = activeWorkers_;
     const std::uint32_t n = lpCount();
     const std::uint32_t first = static_cast<std::uint32_t>(worker);
+    // This worker's tryFinish() snapshot, allocated once: idle
+    // iterations are frequent, and workers call tryFinish()
+    // concurrently, so the buffer cannot be a shared member.
+    std::vector<std::uint64_t> words(n);
     while (!done_.load(std::memory_order_seq_cst)) {
         bool progress = false;
         for (std::uint32_t i = first; i < n; i += stride)
@@ -241,7 +244,7 @@ PdesScheduler::workerLoop(std::size_t worker, Tick limit)
         WallClock::time_point t0{};
         if (metricsTiming_)
             t0 = WallClock::now();
-        const bool finished = tryFinish();
+        const bool finished = tryFinish(words);
         if (!finished)
             std::this_thread::yield();
         if (metricsTiming_) {

@@ -330,7 +330,9 @@ class PdesScheduler
     }
 
     void workerLoop(std::size_t worker, Tick limit);
-    bool tryFinish();
+    /** Termination check; @p words is the calling worker's scratch
+     *  snapshot, sized to lpCount(). */
+    bool tryFinish(std::vector<std::uint64_t> &words);
 
     std::size_t threads_;
     /** Workers participating in the current run() (<= threads_). */

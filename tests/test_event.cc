@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -213,6 +212,166 @@ TEST(EventQueue, StaleIdOfRecycledSlotIsRejected)
     EXPECT_FALSE(q.cancel(first));
     EXPECT_EQ(q.size(), 1u);
     EXPECT_TRUE(q.cancel(second));
+}
+
+namespace
+{
+
+/** Batch kernel appending its payloads to a std::vector<uint32_t>. */
+void
+appendPayloads(void *ctx, Tick, const std::uint32_t *payloads,
+               std::size_t count)
+{
+    auto *out = static_cast<std::vector<std::uint32_t> *>(ctx);
+    out->insert(out->end(), payloads, payloads + count);
+}
+
+/** Callable counting its own move constructions. When run, it first
+ *  schedules @p grow more events (so the arena grows while it is
+ *  running) and then records how often it had been moved. */
+struct MoveCounter
+{
+    EventQueue *q;
+    int grow;
+    int *moves;
+    int *movesAtRun;
+
+    MoveCounter(EventQueue *q_, int grow_, int *moves_,
+                int *movesAtRun_)
+        : q(q_), grow(grow_), moves(moves_), movesAtRun(movesAtRun_)
+    {
+    }
+
+    MoveCounter(MoveCounter &&o) noexcept
+        : q(o.q), grow(o.grow), moves(o.moves),
+          movesAtRun(o.movesAtRun)
+    {
+        ++*moves;
+    }
+
+    MoveCounter(const MoveCounter &) = delete;
+    MoveCounter &operator=(const MoveCounter &) = delete;
+    MoveCounter &operator=(MoveCounter &&) = delete;
+
+    void
+    operator()() const
+    {
+        for (int i = 0; i < grow; ++i)
+            q->schedule(q->now() + 1, [] {});
+        *movesAtRun = *moves;
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, PlainCallbackIsNeverRelocatedAfterSchedule)
+{
+    // The plain arena must grow by whole chunks without moving live
+    // cells, and the callback must run in its cell: both growth
+    // before it runs and growth from inside it leave it in place.
+    constexpr int chunk = static_cast<int>(EventQueue::plainChunkCells);
+    EventQueue q;
+    int moves = 0;
+    int movesAtRun = -1;
+    q.schedule(10, MoveCounter(&q, 2 * chunk + 1, &moves, &movesAtRun));
+    const int movesAfterSchedule = moves;
+    for (int i = 0; i < 2 * chunk + 1; ++i) {
+        q.schedule(5, [] {});
+        q.schedule(20, [] {});
+    }
+    q.runUntil();
+    EXPECT_EQ(movesAtRun, movesAfterSchedule);
+    EXPECT_EQ(q.executed(),
+              static_cast<std::uint64_t>(1 + 3 * (2 * chunk + 1)));
+}
+
+TEST(EventQueue, CancelNeverCrossesEventKinds)
+{
+    // The first plain and the first batch event each take slot 0 of
+    // their own arena: cancelling either id leaves the other alone.
+    EventQueue q;
+    std::vector<std::uint32_t> payloads;
+    const std::uint16_t k =
+        q.registerBatchKernel("test.append", appendPayloads, &payloads);
+    bool plainRan = false;
+    const EventId plain = q.schedule(1, [&] { plainRan = true; });
+    const EventId batch = q.scheduleBatch(1, k, 7);
+    EXPECT_NE(plain, batch);
+    EXPECT_TRUE(q.cancel(batch));
+    EXPECT_FALSE(q.cancel(batch));
+    EXPECT_EQ(q.size(), 1u);
+    q.runUntil();
+    EXPECT_TRUE(plainRan);
+    EXPECT_TRUE(payloads.empty());
+
+    // The reverse, on the recycled slots.
+    const EventId plain2 =
+        q.schedule(2, [] { ADD_FAILURE() << "cancelled event ran"; });
+    const EventId batch2 = q.scheduleBatch(2, k, 8);
+    EXPECT_NE(plain2, batch2);
+    EXPECT_TRUE(q.cancel(plain2));
+    EXPECT_FALSE(q.cancel(plain2));
+    EXPECT_EQ(q.size(), 1u);
+    q.runUntil();
+    EXPECT_EQ(payloads, (std::vector<std::uint32_t>{8}));
+    EXPECT_EQ(q.stats().cancelled, 2u);
+}
+
+TEST(EventQueue, StaleBatchIdIsRejected)
+{
+    EventQueue q;
+    std::vector<std::uint32_t> payloads;
+    const std::uint16_t k =
+        q.registerBatchKernel("test.append", appendPayloads, &payloads);
+    const EventId first = q.scheduleBatch(1, k, 1);
+    q.runUntil();
+    EXPECT_FALSE(q.cancel(first));
+    // The batch slot of `first` is recycled here; the stale handle
+    // must not cancel the new event.
+    const EventId second = q.scheduleBatch(2, k, 2);
+    EXPECT_FALSE(q.cancel(first));
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_TRUE(q.cancel(second));
+    q.runUntil();
+    EXPECT_EQ(payloads, (std::vector<std::uint32_t>{1}));
+}
+
+namespace
+{
+
+/** Batch-kernel context for the self-cancel test. */
+struct SelfCancel
+{
+    EventQueue *q = nullptr;
+    EventId id = invalidEventId;
+    int result = -1;
+};
+
+void
+cancelOwnId(void *ctx, Tick, const std::uint32_t *, std::size_t)
+{
+    auto *s = static_cast<SelfCancel *>(ctx);
+    s->result = s->q->cancel(s->id) ? 1 : 0;
+}
+
+} // namespace
+
+TEST(EventQueue, CancellingTheRunningEventReturnsFalse)
+{
+    EventQueue q;
+    EventId self = invalidEventId;
+    int plainResult = -1;
+    self = q.schedule(1, [&] { plainResult = q.cancel(self) ? 1 : 0; });
+    SelfCancel batch;
+    batch.q = &q;
+    const std::uint16_t k =
+        q.registerBatchKernel("test.self_cancel", cancelOwnId, &batch);
+    batch.id = q.scheduleBatch(2, k, 0);
+    q.runUntil();
+    EXPECT_EQ(plainResult, 0);
+    EXPECT_EQ(batch.result, 0);
+    EXPECT_EQ(q.stats().cancelled, 0u);
+    EXPECT_EQ(q.executed(), 2u);
 }
 
 TEST(EventQueue, StatsCountCoreActivity)
@@ -435,23 +594,6 @@ TEST(InlineCallback, DestroysCapturePromptly)
         EXPECT_EQ(token.use_count(), 1);
     }
     EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(InlineCallback, DeprecatedStdFunctionShimStillWorks)
-{
-    // One-release compatibility: out-of-tree std::function callers
-    // keep compiling (with a deprecation warning) and keep running.
-    int hits = 0;
-    std::function<void()> fn = [&hits] { ++hits; };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EventQueue q;
-    q.schedule(1, fn);
-    InlineCallback empty_shim{std::function<void()>{}};
-#pragma GCC diagnostic pop
-    EXPECT_FALSE(empty_shim); // empty function -> empty callback
-    q.runUntil();
-    EXPECT_EQ(hits, 1);
 }
 
 TEST(Simulator, RunAdvancesTime)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Event-core stress test: randomized interleavings of
- * schedule/cancel/runOne/runUntil are applied to the real EventQueue
- * and to a naive reference model (a sorted std::multimap, which
- * preserves insertion order for equal keys), asserting identical
- * execution order, now() trajectory, and size() at every step. Runs
- * under MACROSIM_SANITIZE=address cleanly — the arena recycling and
- * tombstone compaction paths get hammered hard here.
+ * schedule/scheduleBatch/cancel/runOne/runUntil are applied to the
+ * real EventQueue and to a naive reference model (a sorted
+ * std::multimap, which preserves insertion order for equal keys),
+ * asserting identical execution order, now() trajectory, and size()
+ * at every step. Runs under MACROSIM_SANITIZE=address cleanly — the
+ * recycling of both arenas and the tombstone compaction paths get
+ * hammered hard here.
  */
 
 #include <gtest/gtest.h>
@@ -28,17 +29,19 @@ using namespace macrosim;
 /**
  * The semantics of EventQueue, written as artlessly as possible:
  * a time-sorted multimap of tags (multimap guarantees insertion
- * order for equivalent keys, i.e. same-tick FIFO) plus a live set.
+ * order for equivalent keys, i.e. same-tick FIFO) plus a live set
+ * and each tag's batch kernel (0 = plain event).
  */
 class ReferenceQueue
 {
   public:
     std::uint64_t
-    schedule(Tick when, int tag)
+    schedule(Tick when, int tag, std::uint16_t kernel = 0)
     {
         EXPECT_GE(when, now_);
         queue_.emplace(when, tag);
         live_.insert(tag);
+        kernel_[tag] = kernel;
         return static_cast<std::uint64_t>(tag);
     }
 
@@ -48,20 +51,30 @@ class ReferenceQueue
         return live_.erase(tag) == 1;
     }
 
-    bool
+    /** Run the next live event; a batch event takes the rest of its
+     *  run with it (every following live same-tick event of the same
+     *  kernel, up to the first other one). @return events run. */
+    std::uint64_t
     runOne(std::vector<int> &order)
     {
-        while (!queue_.empty()) {
-            const auto it = queue_.begin();
-            const auto [when, tag] = *it;
-            queue_.erase(it);
-            if (live_.erase(tag) == 0)
-                continue; // cancelled
-            now_ = when;
-            order.push_back(tag);
-            return true;
-        }
-        return false;
+        skipDead();
+        if (queue_.empty())
+            return 0;
+        const auto [when, tag] = *queue_.begin();
+        const std::uint16_t kernel = kernel_[tag];
+        std::uint64_t ran = 0;
+        do {
+            const int next = queue_.begin()->second;
+            queue_.erase(queue_.begin());
+            live_.erase(next);
+            order.push_back(next);
+            ++ran;
+            skipDead();
+        } while (kernel != 0 && !queue_.empty() &&
+                 queue_.begin()->first == when &&
+                 kernel_[queue_.begin()->second] == kernel);
+        now_ = when;
+        return ran;
     }
 
     std::uint64_t
@@ -71,14 +84,10 @@ class ReferenceQueue
         for (;;) {
             // Skip dead entries first so a cancelled early entry
             // cannot admit a live one beyond the limit.
-            while (!queue_.empty() &&
-                   live_.count(queue_.begin()->second) == 0) {
-                queue_.erase(queue_.begin());
-            }
+            skipDead();
             if (queue_.empty() || queue_.begin()->first > limit)
                 break;
-            runOne(order);
-            ++ran;
+            ran += runOne(order);
         }
         return ran;
     }
@@ -87,10 +96,32 @@ class ReferenceQueue
     std::size_t size() const { return live_.size(); }
 
   private:
+    /** Drop cancelled entries off the front. */
+    void
+    skipDead()
+    {
+        while (!queue_.empty() &&
+               live_.count(queue_.begin()->second) == 0) {
+            queue_.erase(queue_.begin());
+        }
+    }
+
     Tick now_ = 0;
     std::multimap<Tick, int> queue_;
     std::unordered_set<int> live_;
+    std::unordered_map<int, std::uint16_t> kernel_;
 };
+
+/** Batch kernel of the real queue: appends the payloads (the tags)
+ *  to the std::vector<int> execution order it was registered with. */
+void
+appendTags(void *ctx, Tick, const std::uint32_t *payloads,
+           std::size_t count)
+{
+    auto *order = static_cast<std::vector<int> *>(ctx);
+    for (std::size_t i = 0; i < count; ++i)
+        order->push_back(static_cast<int>(payloads[i]));
+}
 
 /** One full random interleaving with a given op mix. */
 void
@@ -101,6 +132,11 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
     ReferenceQueue ref;
 
     std::vector<int> real_order, ref_order;
+    // Two kernels, so batch runs also break on a foreign kernel.
+    const std::uint16_t kernels[2] = {
+        real.registerBatchKernel("stress.a", appendTags, &real_order),
+        real.registerBatchKernel("stress.b", appendTags, &real_order),
+    };
     // tag -> real queue handle, for cancels of live events.
     std::unordered_map<int, EventId> handles;
     std::vector<int> live_tags;
@@ -108,19 +144,28 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
 
     const auto scheduleOne = [&] {
         // Mix of horizons; weight same-tick bursts heavily so FIFO
-        // ordering inside a tick is exercised.
-        const std::uint64_t kind = rng.below(4);
+        // ordering inside a tick (and batch coalescing) is exercised.
+        const std::uint64_t horizon = rng.below(4);
         Tick when = real.now();
-        if (kind == 1)
+        if (horizon == 1)
             when += 1 + rng.below(16);
-        else if (kind >= 2)
+        else if (horizon >= 2)
             when += rng.below(2000);
         const int tag = next_tag++;
-        handles[tag] =
-            real.schedule(when, [tag, &real_order] {
-                real_order.push_back(tag);
-            });
-        ref.schedule(when, tag);
+        // Half plain callbacks, half batch events split between the
+        // two kernels.
+        const std::uint64_t kind = rng.below(4);
+        const std::uint16_t kernel = kind < 2 ? 0 : kernels[kind - 2];
+        if (kernel == 0) {
+            handles[tag] =
+                real.schedule(when, [tag, &real_order] {
+                    real_order.push_back(tag);
+                });
+        } else {
+            handles[tag] = real.scheduleBatch(
+                when, kernel, static_cast<std::uint32_t>(tag));
+        }
+        ref.schedule(when, tag, kernel);
         live_tags.push_back(tag);
     };
 
@@ -144,7 +189,7 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
                 live_tags.pop_back();
             }
         } else if (roll < 90) {
-            ASSERT_EQ(real.runOne(), ref.runOne(ref_order));
+            ASSERT_EQ(real.runOne(), ref.runOne(ref_order) > 0);
         } else {
             const Tick limit = real.now() + rng.below(500);
             ASSERT_EQ(real.runUntil(limit),
@@ -176,6 +221,8 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
     ASSERT_EQ(real.now(), ref.now());
     ASSERT_EQ(real.size(), 0u);
     ASSERT_EQ(ref.size(), 0u);
+    // The mix really coalesced batch events into multi-event runs.
+    EXPECT_GT(real.stats().batchEvents, real.stats().batchRuns);
 }
 
 TEST(EventQueueStress, MatchesReferenceModelLightCancel)
@@ -214,7 +261,7 @@ TEST(EventQueueStress, FollowUpSchedulingMatchesReference)
     int executed_total = 0;
     for (;;) {
         const bool a = real.runOne();
-        ASSERT_EQ(a, ref.runOne(ref_order));
+        ASSERT_EQ(a, ref.runOne(ref_order) > 0);
         if (!a)
             break;
         ASSERT_EQ(real_order, ref_order);
