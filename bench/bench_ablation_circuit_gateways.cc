@@ -21,8 +21,9 @@ using namespace macrosim;
 using namespace macrosim::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectUnknownFlags(argc, argv);
     setQuiet(true);
     std::printf("Circuit-switched gateway ablation "
                 "(uniform random, 64 B packets)\n\n");

@@ -40,8 +40,9 @@ sustainedUniform(const TwoPhaseParams &params)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectUnknownFlags(argc, argv);
     setQuiet(true);
     std::printf("Two-phase protocol-parameter ablation "
                 "(uniform, sustained %% of peak)\n\n");

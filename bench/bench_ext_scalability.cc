@@ -36,12 +36,13 @@
 #include <string>
 #include <vector>
 
+#include "flags.hh"
 #include "harness.hh"
 #include "net/analysis.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/sweep.hh"
 #include "sim/telemetry/json.hh"
-#include "sweep.hh"
 #include "workloads/packet_injector.hh"
 
 using namespace macrosim;
@@ -208,6 +209,7 @@ main(int argc, char **argv)
     const bool have_net =
         stripValueFlag(argc, argv, "network", &net_flag);
     const TelemetryOptions topt = telemetryArgs(argc, argv);
+    rejectUnknownFlags(argc, argv);
 
     std::vector<GridSpec> grids = {{8, 8}, {16, 16}, {24, 24}};
     if (topt.smoke)

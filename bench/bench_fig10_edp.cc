@@ -23,6 +23,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const BenchFlags flags = benchFlags(argc, argv, 1);
+    rejectUnknownFlags(argc, argv);
     const std::size_t jobs = flags.jobs;
     const std::uint64_t seed = flags.seed;
     const TelemetryOptions &topt = flags.telemetry;

@@ -27,8 +27,9 @@
 #include <utility>
 #include <vector>
 
+#include "flags.hh"
 #include "harness.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
 
 #include "net/tracer.hh"
 #include "sim/logging.hh"
@@ -152,6 +153,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const BenchFlags flags = benchFlags(argc, argv, 17);
+    rejectUnknownFlags(argc, argv);
     const std::size_t jobs = flags.jobs;
     const std::uint64_t seed = flags.seed;
     const TelemetryOptions &topt = flags.telemetry;

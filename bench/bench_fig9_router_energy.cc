@@ -11,8 +11,9 @@
 #include <cstdio>
 #include <utility>
 
+#include "flags.hh"
 #include "harness.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -25,6 +26,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const BenchFlags flags = benchFlags(argc, argv, 1);
+    rejectUnknownFlags(argc, argv);
     const std::size_t jobs = flags.jobs;
     const std::uint64_t seed = flags.seed;
     const std::uint64_t instr = instructionsArg(argc, argv, 1200);

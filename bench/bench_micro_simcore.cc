@@ -4,10 +4,9 @@
  *
  * 1. A pinned event-core throughput baseline: three fixed scenarios
  *    (push-pop, cancel-heavy, same-tick-burst) timed with
- *    steady_clock and emitted both to stdout and to
- *    BENCH_simcore.json, so the events/sec trajectory is tracked
- *    across PRs. Events/sec counts every core operation performed
- *    (schedule + cancel + execute).
+ *    steady_clock and printed as one JSON line on stdout. Events/sec
+ *    counts every core operation performed (schedule + cancel +
+ *    execute).
  * 2. google-benchmark micros of the queue, RNG, channel reservation
  *    and a full point-to-point packet path.
  *
@@ -33,7 +32,7 @@ namespace
 {
 
 // ---------------------------------------------------------------
-// Pinned throughput scenarios (BENCH_simcore.json)
+// Pinned throughput scenarios
 // ---------------------------------------------------------------
 
 /**
@@ -126,10 +125,7 @@ eventsPerSec(Scenario &&scenario)
     return static_cast<double>(ops) / seconds;
 }
 
-/**
- * Run the three pinned scenarios and emit one JSON line to stdout
- * and to BENCH_simcore.json in the working directory.
- */
+/** Run the three pinned scenarios and print one JSON line. */
 void
 emitSimcoreBaseline()
 {
@@ -146,14 +142,6 @@ emitSimcoreBaseline()
                   push_pop, cancel_heavy, burst);
     std::printf("%s\n", json);
     std::fflush(stdout);
-    if (std::FILE *f = std::fopen("BENCH_simcore.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    } else {
-        std::fprintf(stderr,
-                     "bench_micro_simcore: cannot write "
-                     "BENCH_simcore.json\n");
-    }
 }
 
 // ---------------------------------------------------------------

@@ -250,6 +250,7 @@ main(int argc, char **argv)
     std::size_t extra_threads = 0;
     try {
         extraPointArgs(argc, argv, &extra_lp, &extra_threads);
+        rejectUnknownFlags(argc, argv);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "bench_pdes: %s\n", e.what());
         return 2;

@@ -28,10 +28,11 @@
 
 #include "fault/fault.hh"
 #include "fault/injector.hh"
+#include "flags.hh"
 #include "harness.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
 #include "workloads/packet_injector.hh"
 #include "workloads/patterns.hh"
 
@@ -112,6 +113,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const BenchFlags flags = benchFlags(argc, argv, 1);
+    rejectUnknownFlags(argc, argv);
     const std::size_t jobs = flags.jobs;
     const std::uint64_t seed = flags.seed;
     const TelemetryOptions &topt = flags.telemetry;

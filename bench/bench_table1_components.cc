@@ -8,13 +8,15 @@
 #include <cstdio>
 #include <string>
 
+#include "flags.hh"
 #include "photonics/link_budget.hh"
 
 using namespace macrosim;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownFlags(argc, argv);
     std::printf("Table 1: Optical Component Properties\n");
     std::printf("%-22s %14s %12s %12s\n", "Component", "Energy",
                 "Static (mW)", "Loss (dB)");

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -188,6 +189,18 @@ benchFlags(int &argc, char **argv, std::uint64_t seed_fallback)
     flags.seed = seedArg(argc, argv, seed_fallback);
     flags.telemetry = telemetryArgs(argc, argv);
     return flags;
+}
+
+void
+rejectUnknownFlags(int argc, char **argv)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--", 2) == 0) {
+            std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0],
+                         argv[i]);
+            std::exit(2);
+        }
+    }
 }
 
 namespace

@@ -139,6 +139,14 @@ BenchFlags benchFlags(int &argc, char **argv,
                       std::uint64_t seed_fallback);
 
 /**
+ * Fail loudly on flags nobody stripped: name the first "--" argument
+ * left in argv on stderr and exit with status 2. Every bench calls this after its own
+ * strips, so a misspelled flag can neither be ignored nor shift a
+ * positional argument out of place.
+ */
+void rejectUnknownFlags(int argc, char **argv);
+
+/**
  * Build a CampaignSpec from the shared campaign option table,
  * stripping the flags from argv (fatal() on malformed values):
  *

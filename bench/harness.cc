@@ -8,12 +8,13 @@
 #include <sstream>
 #include <utility>
 
+#include "flags.hh"
 #include "net/tracer.hh"
 #include "sim/logging.hh"
-#include "sim/telemetry/json.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
+#include "sim/telemetry/json.hh"
 
 namespace macrosim::bench
 {

@@ -12,14 +12,11 @@ FaultInjector::FaultInjector(Simulator &sim, Network &net,
                              TraceSink *trace, std::uint32_t trace_pid)
     : sim_(sim), net_(net), schedule_(std::move(schedule)),
       params_(params), trace_(trace), tracePid_(trace_pid),
-      minMarginDb_(params.basePath
-                       .margin(params.launch, params.sensitivity)
-                       .value())
+      baseMarginDb_(params.basePath
+                        .margin(params.launch, params.sensitivity)
+                        .value()),
+      minMarginDb_(baseMarginDb_)
 {
-    batching_ = batchDispatchDefault();
-    injectKernel_ = sim_.events().registerBatchKernel(
-        "fault.inject", &FaultInjector::injectBatch, this);
-
     // Flatten the base path once: the per-element loss terms, in path
     // order, are exactly what totalLoss() folds — keeping them as a
     // dense array lets evaluateFlat() replay the identical operation
@@ -84,9 +81,7 @@ FaultInjector::laneFor(std::uint64_t key)
     killed_.push_back(0);
     // A fresh lane's margin is the base margin; cache it directly so
     // construction does not pay one evaluate per faultable link.
-    marginDb_.push_back(params_.basePath
-                            .margin(params_.launch, params_.sensitivity)
-                            .value());
+    marginDb_.push_back(baseMarginDb_);
     laneIndex_.try_emplace(key, i);
     return i;
 }
@@ -99,65 +94,28 @@ FaultInjector::arm()
     armed_ = true;
     armedEvents_ = schedule_.ordered();
     for (std::size_t i = 0; i < armedEvents_.size(); ++i) {
-        if (batching_) {
-            sim_.events().scheduleBatch(
-                armedEvents_[i].at, injectKernel_,
-                static_cast<std::uint32_t>(i));
-        } else {
-            sim_.events().schedule(armedEvents_[i].at,
-                                   [this, i] { apply(armedEvents_[i]); },
-                                   "fault.inject");
-        }
+        sim_.events().schedule(armedEvents_[i].at,
+                               [this, i] { apply(armedEvents_[i]); },
+                               "fault.inject");
     }
-}
-
-void
-FaultInjector::injectBatch(void *ctx, Tick when,
-                           const std::uint32_t *payloads,
-                           std::size_t count)
-{
-    (void)when;
-    auto *inj = static_cast<FaultInjector *>(ctx);
-    for (std::size_t i = 0; i < count; ++i)
-        inj->apply(inj->armedEvents_[payloads[i]]);
-}
-
-double
-FaultInjector::evaluateScalar(const Health &h) const
-{
-    // The accumulated soft degradation re-runs the section 2 budget:
-    // added component loss through deratedPath(), dimmer launch,
-    // deafer receiver. This is the reference arithmetic the flat
-    // lanes must reproduce bit for bit.
-    return params_.basePath
-        .deratedPath(Decibel(h.dropDb + h.wgDb))
-        .margin(params_.launch - Decibel(h.droopDb),
-                params_.sensitivity + Decibel(h.rxDb))
-        .value();
 }
 
 double
 FaultInjector::evaluateFlat(std::uint32_t i) const
 {
-    // Same operation sequence as evaluateScalar: totalLoss() starts
-    // from the extra (derate) loss and folds each element's term in
-    // path order; margin is (launch - loss) - sensitivity. Keeping
-    // the fold order makes the two paths bit-identical despite FP
+    // The accumulated soft degradation re-runs the section 2 budget
+    // with the operation sequence of
+    // basePath.deratedPath(drop + wg).margin(launch - droop,
+    // sensitivity + rx): totalLoss() starts from the extra (derate)
+    // loss and folds each element's term in path order; margin is
+    // (launch - loss) - sensitivity. Keeping the fold order makes the
+    // result bit-identical to the object path despite FP
     // non-associativity.
     double total = baseExtraDb_ + (dropDb_[i] + wgDb_[i]);
     for (const double term : elemLossDb_)
         total += term;
     return ((launchDbm_ - droopDb_[i]) - total)
         - (sensitivityDbm_ + rxDb_[i]);
-}
-
-double
-FaultInjector::marginOfLane(std::uint32_t i) const
-{
-    if (batching_)
-        return evaluateFlat(i);
-    return evaluateScalar(Health{droopDb_[i], dropDb_[i], wgDb_[i],
-                                 rxDb_[i], killed_[i] != 0});
 }
 
 LinkHealth
@@ -173,29 +131,13 @@ FaultInjector::healthAt(std::uint32_t i, double margin_db) const
 double
 FaultInjector::sweepMargins()
 {
-    if (laneKeys_.empty()) {
-        return params_.basePath
-            .margin(params_.launch, params_.sensitivity)
-            .value();
-    }
-    if (batching_) {
-        // One flat pass over the lanes: the hot loop the compiler can
-        // vectorize — no path copies, no Decibel temporaries.
-        const std::size_t n = laneKeys_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            double total = baseExtraDb_ + (dropDb_[i] + wgDb_[i]);
-            for (const double term : elemLossDb_)
-                total += term;
-            marginDb_[i] = ((launchDbm_ - droopDb_[i]) - total)
-                - (sensitivityDbm_ + rxDb_[i]);
-        }
-    } else {
-        for (std::size_t i = 0; i < laneKeys_.size(); ++i) {
-            marginDb_[i] = evaluateScalar(
-                Health{droopDb_[i], dropDb_[i], wgDb_[i], rxDb_[i],
-                       killed_[i] != 0});
-        }
-    }
+    if (laneKeys_.empty())
+        return baseMarginDb_;
+    // One flat pass over the lanes: no path copies, no Decibel
+    // temporaries.
+    const auto n = static_cast<std::uint32_t>(laneKeys_.size());
+    for (std::uint32_t i = 0; i < n; ++i)
+        marginDb_[i] = evaluateFlat(i);
     double min = marginDb_[0];
     for (const double m : marginDb_)
         min = m < min ? m : min;
@@ -207,9 +149,9 @@ FaultInjector::marginDbOf(const FaultTarget &target) const
 {
     const auto it = laneIndex_.find(target.key());
     if (it != laneIndex_.end())
-        return marginOfLane(it->second);
+        return evaluateFlat(it->second);
     // Unknown target: fresh health, base margin.
-    return evaluateScalar(Health{});
+    return baseMarginDb_;
 }
 
 void
@@ -231,7 +173,7 @@ void
 FaultInjector::applyChannel(const FaultEvent &ev)
 {
     const std::uint32_t lane = laneFor(ev.target.key());
-    const double before_db = marginOfLane(lane);
+    const double before_db = evaluateFlat(lane);
     const LinkHealth before = healthAt(lane, before_db);
 
     switch (ev.kind) {
@@ -261,7 +203,7 @@ FaultInjector::applyChannel(const FaultEvent &ev)
         panic("FaultInjector: SiteKill against a channel target");
     }
 
-    const double after_db = marginOfLane(lane);
+    const double after_db = evaluateFlat(lane);
     marginDb_[lane] = after_db;
     const LinkHealth after = healthAt(lane, after_db);
     if (!net_.applyLinkHealth(ev.target.a, ev.target.b, after)) {

@@ -11,16 +11,13 @@
  * reducing the channel's aggregate bandwidth. Both transitions
  * surface as trace instant events and "fault.*" stats.
  *
- * Margin arithmetic comes in two bit-identical flavours. The scalar
- * reference (evaluateScalar) walks the object path: deratedPath()
- * copies the OpticalPath (a heap allocation per call) and margin()
- * folds the element losses through Decibel operators. The flat path
- * (evaluateFlat / sweepMargins) keeps per-link degradation in
- * structure-of-arrays lanes — droop/drop/waveguide/receiver dB,
- * kill flags, cached margins — and replays the identical operation
- * sequence over precomputed per-element loss terms, so a whole
- * topology's links re-evaluate in one vectorizable pass with no
- * allocation. setBatching() selects the flavour (default: flat).
+ * Margin arithmetic keeps per-link degradation in structure-of-arrays
+ * lanes — droop/drop/waveguide/receiver dB, kill flags, cached
+ * margins — and replays the operation sequence of
+ * OpticalPath::deratedPath() + margin() over precomputed per-element
+ * loss terms, bit for bit, so a whole topology's links re-evaluate
+ * in one pass with no path copy (deratedPath() heap-allocates one
+ * per call).
  */
 
 #ifndef MACROSIM_FAULT_INJECTOR_HH
@@ -80,25 +77,15 @@ class FaultInjector
 
     /**
      * Re-evaluate every tracked link's margin in one flat pass over
-     * the degradation lanes (or, with batching off, one scalar
-     * evaluate() per link — the differential reference), refreshing
-     * the margin cache. @return the minimum margin across all
-     * tracked links, in dB (the base margin when none are tracked).
+     * the degradation lanes, refreshing the margin cache.
+     * @return the minimum margin across all tracked links, in dB
+     * (the base margin when none are tracked).
      */
     double sweepMargins();
 
     /** Number of links with degradation lanes (every faultable link
      *  of the network, plus any targets events added). */
     std::size_t trackedLinks() const { return laneKeys_.size(); }
-
-    /**
-     * Choose the margin-arithmetic path: flat SoA lanes (true, the
-     * default — from batchDispatchDefault() at construction) or the
-     * scalar object path. Both are bit-identical; the knob exists for
-     * differential tests and benchmarks.
-     */
-    void setBatching(bool on) { batching_ = on; }
-    bool batching() const { return batching_; }
 
     std::uint64_t injectedFaults() const { return injected_; }
     std::uint64_t repairs() const { return repairs_; }
@@ -112,23 +99,9 @@ class FaultInjector
     double minMarginDb() const { return minMarginDb_; }
 
   private:
-    /** Accumulated degradation of one channel target (scalar form,
-     *  assembled from the lanes for the reference path). */
-    struct Health
-    {
-        double droopDb = 0.0;  ///< Laser launch-power droop.
-        double dropDb = 0.0;   ///< Ring-drift drop-filter loss.
-        double wgDb = 0.0;     ///< Waveguide loss creep.
-        double rxDb = 0.0;     ///< Receiver sensitivity penalty.
-        bool killed = false;
-    };
-
-    /** Scalar reference: deratedPath() + margin() over the object
-     *  path. Allocates (path copy) per call. */
-    double evaluateScalar(const Health &h) const;
-
-    /** Flat margin of lane @p i: identical operation order over the
-     *  precomputed element-loss terms, no allocation. */
+    /** Margin of lane @p i: the operation order of deratedPath() +
+     *  margin() over the precomputed element-loss terms, no
+     *  allocation. */
     double evaluateFlat(std::uint32_t i) const;
 
     /** Margin -> LinkHealth under the model params. */
@@ -136,15 +109,6 @@ class FaultInjector
 
     /** Lane of @p key, creating zeroed lanes on first sight. */
     std::uint32_t laneFor(std::uint64_t key);
-
-    /** Margin of lane @p i via the configured path. */
-    double marginOfLane(std::uint32_t i) const;
-
-    /** Batch kernel draining a tick's worth of "fault.inject"
-     *  events; payloads index armedEvents_. */
-    static void injectBatch(void *ctx, Tick when,
-                            const std::uint32_t *payloads,
-                            std::size_t count);
 
     void applyChannel(const FaultEvent &ev);
     void applySite(const FaultEvent &ev);
@@ -154,24 +118,21 @@ class FaultInjector
     Network &net_;
     FaultSchedule schedule_;
     /** The armed timeline, pinned so the injection events capture
-     *  just [this, index] (or carry the index as a batch payload)
-     *  instead of a FaultEvent by value. */
+     *  just [this, index] instead of a FaultEvent by value. */
     std::vector<FaultEvent> armedEvents_;
     FaultModelParams params_;
     TraceSink *trace_;
     std::uint32_t tracePid_;
     bool armed_ = false;
-    bool batching_ = true;
-    std::uint16_t injectKernel_ = 0;
 
     /** Per-link degradation lanes (index = lane id). Seeded with
      *  every faultableLinks() key at construction; events against
      *  other keys grow the lanes on demand. */
     std::vector<std::uint64_t> laneKeys_;
-    std::vector<double> droopDb_;
-    std::vector<double> dropDb_;
-    std::vector<double> wgDb_;
-    std::vector<double> rxDb_;
+    std::vector<double> droopDb_;  ///< Laser launch-power droop.
+    std::vector<double> dropDb_;   ///< Ring-drift drop-filter loss.
+    std::vector<double> wgDb_;     ///< Waveguide loss creep.
+    std::vector<double> rxDb_;     ///< Receiver sensitivity penalty.
     std::vector<std::uint8_t> killed_;
     /** Cached margins, refreshed on every mutation and by
      *  sweepMargins(). */
@@ -184,6 +145,8 @@ class FaultInjector
     double baseExtraDb_ = 0.0;
     double launchDbm_ = 0.0;
     double sensitivityDbm_ = 0.0;
+    /** Margin of the healthy base path. */
+    double baseMarginDb_;
 
     std::unordered_map<std::uint64_t, bool> sites_;
 

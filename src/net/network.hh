@@ -314,19 +314,6 @@ class Network
     /** The logical process this replica is bound to. */
     std::uint32_t pdesLp() const { return pdesLp_; }
 
-    /**
-     * Route per-tick bulk work (final deliveries, and in subclasses
-     * slot evaluation / grant scans) through coalesced batch kernels
-     * instead of one InlineCallback per event. Initialized from
-     * batchDispatchDefault(); both paths are bit-identical by
-     * construction (same heap order, same per-item code), so this
-     * knob exists for differential testing and benchmarking, not
-     * correctness. Flip only between runs, never mid-simulation —
-     * events already scheduled keep the path they were issued on.
-     */
-    virtual void setBatching(bool on) { batching_ = on; }
-    bool batching() const { return batching_; }
-
   protected:
     /** Deliver inter-site traffic; implemented by each topology. */
     virtual void route(Message msg) = 0;
@@ -386,12 +373,6 @@ class Network
      */
     void pdesRoute(SiteId dst_site, PdesEvent ev, const char *tag);
 
-  protected:
-    /** Whether this instance routes bulk work through batch kernels
-     *  (see setBatching()). Subclass constructors read it to decide
-     *  which path their own events take. */
-    bool batching_ = true;
-
   private:
     /** Delivery epilogue: timestamps, stats, observer, site handler.
      *  Runs at delivery time on the destination's LP. */
@@ -400,12 +381,6 @@ class Network
     /** PdesEvent apply thunk for final deliveries; payload is the
      *  Message, target the destination replica (as Network*). */
     static void applyDeliver(void *target, const void *payload);
-
-    /** Batch kernel draining a run of "net.deliver" events; payloads
-     *  index deliverPool_. */
-    static void deliverBatch(void *ctx, Tick when,
-                             const std::uint32_t *payloads,
-                             std::size_t count);
 
     Simulator &sim_;
     MacrochipConfig config_;
@@ -419,14 +394,6 @@ class Network
     RetryPolicy retry_;
     MessageId nextId_ = 1;
     std::string statPrefix_;
-
-    /** In-flight Messages awaiting batched delivery, indexed by the
-     *  batch payload; recycled through deliverFree_ so steady state
-     *  allocates nothing. */
-    std::vector<Message> deliverPool_;
-    std::vector<std::uint32_t> deliverFree_;
-    /** Kernel id for deliverBatch() on sim_'s queue. */
-    std::uint16_t deliverKernel_ = 0;
 
     PdesScheduler *pdes_ = nullptr;
     std::uint32_t pdesLp_ = 0;

@@ -29,13 +29,10 @@ TokenRingCrossbar::TokenRingCrossbar(Simulator &sim,
     arbTokenFree_.assign(sites, 0);
     arbBusyTicks_.assign(sites, 0);
     arbGrantEvent_.assign(sites, invalidEventId);
-    arbGrantIdx_.assign(sites, 0);
     arbMasked_.assign(sites, 0);
     downMask_.assign((sites + 63) / 64, 0);
     waitingMask_.assign((sites + 63) / 64, 0);
     arbWaiting_.resize(sites);
-    grantKernel_ = sim.events().registerBatchKernel(
-        "net.tring.grant", &TokenRingCrossbar::grantBatch, this);
 
     // Serpentine (boustrophedon) ring order so consecutive ring
     // positions are physically adjacent sites.
@@ -209,28 +206,9 @@ TokenRingCrossbar::armGrant(SiteId dst)
             best_idx = i;
         }
     }
-    arbGrantIdx_[dst] = best_idx;
-    if (batching()) {
-        arbGrantEvent_[dst] =
-            sim().events().scheduleBatch(best, grantKernel_, dst);
-        return;
-    }
     arbGrantEvent_[dst] = sim().events().schedule(
         best, [this, dst, best_idx] { grant(dst, best_idx); },
         "net.tring.grant");
-}
-
-void
-TokenRingCrossbar::grantBatch(void *ctx, Tick when,
-                              const std::uint32_t *payloads,
-                              std::size_t count)
-{
-    (void)when;
-    auto *net = static_cast<TokenRingCrossbar *>(ctx);
-    for (std::size_t i = 0; i < count; ++i) {
-        const SiteId dst = payloads[i];
-        net->grant(dst, net->arbGrantIdx_[dst]);
-    }
 }
 
 void

@@ -123,15 +123,6 @@ class TwoPhaseArbitratedNetwork : public Network
     void route(Message msg) override;
 
   private:
-    /** A granted data slot waiting for its start tick; pooled so the
-     *  batched slot kernel's payload is just an index. */
-    struct PendingSlot
-    {
-        Message msg;
-        Tick slotStart = 0;
-        Tick ser = 0;
-    };
-
     /** Index of the shared channel (row of src, destination). */
     std::size_t
     channelIndex(SiteId src, SiteId dst) const
@@ -145,12 +136,6 @@ class TwoPhaseArbitratedNetwork : public Network
 
     /** Attempt the granted transmission; re-arbitrate on collision. */
     void transmitSlot(Message msg, Tick slot_start, Tick ser);
-
-    /** Batch kernel draining a tick's worth of granted slots;
-     *  payloads index pendingSlots_. */
-    static void slotBatch(void *ctx, Tick when,
-                          const std::uint32_t *payloads,
-                          std::size_t count);
 
     /** Switch trees for (site, column); alt has two per pair. */
     BusyResource *treeFor(SiteId site, std::uint32_t col,
@@ -179,11 +164,6 @@ class TwoPhaseArbitratedNetwork : public Network
     std::vector<std::uint8_t> chDown_;       ///< Channel unusable.
     /** Masked channel width; 0 means the full width. */
     std::vector<std::uint32_t> chMasked_;
-
-    /** Granted-slot pool + free list for the batched slot path. */
-    std::vector<PendingSlot> pendingSlots_;
-    std::vector<std::uint32_t> slotFree_;
-    std::uint16_t slotKernel_ = 0;
 
     std::vector<BusyResource> trees_;        // site x col x instances
     /** Column managers' notification wavelengths: one per

@@ -1,7 +1,6 @@
 #include "sim/event.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -16,14 +15,9 @@ namespace macrosim
 namespace
 {
 
-/** See batchDispatchDefault(). Atomic because sweep cells construct
- *  networks concurrently while a test harness may have flipped the
- *  default before launching them. */
-std::atomic<bool> g_batchDispatchDefault{true};
-
 /** EventId layout: generation in the high word; in the low word the
  *  slot index biased by one (so invalidEventId never decodes to a
- *  slot) plus EventQueue::batchIdBit for batch-arena slots. */
+ *  slot). */
 constexpr std::uint32_t
 idGen(EventId id)
 {
@@ -45,73 +39,33 @@ makeId(std::uint32_t gen, std::uint32_t low)
 
 } // namespace
 
-bool
-batchDispatchDefault()
-{
-    return g_batchDispatchDefault.load(std::memory_order_relaxed);
-}
-
-void
-setBatchDispatchDefault(bool on)
-{
-    g_batchDispatchDefault.store(on, std::memory_order_relaxed);
-}
-
 std::uint32_t
-EventQueue::allocPlain(Callback &&cb, const char *tag)
+EventQueue::allocCell(Callback &&cb, const char *tag)
 {
     std::uint32_t slot;
-    if (!freePlain_.empty()) {
-        slot = freePlain_.back();
-        freePlain_.pop_back();
+    if (!freeCells_.empty()) {
+        slot = freeCells_.back();
+        freeCells_.pop_back();
     } else {
-        if (plainCells_ >= batchIdBit - 1) {
-            panic("EventQueue: plain arena overflow (", plainCells_,
+        if (cells_ == std::numeric_limits<std::uint32_t>::max()) {
+            panic("EventQueue: arena overflow (", cells_,
                   " concurrent events)");
         }
-        slot = plainCells_++;
-        if (slot % plainChunkCells == 0) {
-            plainChunks_.push_back(
-                std::make_unique<PlainCell[]>(plainChunkCells));
-        }
+        slot = cells_++;
+        if (slot % chunkCells == 0)
+            chunks_.push_back(std::make_unique<Cell[]>(chunkCells));
     }
-    PlainCell &c = plainCell(slot);
+    Cell &c = cell(slot);
     c.cb = std::move(cb);
     c.tag = tag;
-    return slot;
-}
-
-std::uint32_t
-EventQueue::allocBatch(std::uint32_t payload)
-{
-    std::uint32_t slot;
-    if (!freeBatch_.empty()) {
-        slot = freeBatch_.back();
-        freeBatch_.pop_back();
-    } else {
-        if (batchSlots_.size() >= batchIdBit - 1) {
-            panic("EventQueue: batch arena overflow (",
-                  batchSlots_.size(), " concurrent events)");
-        }
-        slot = static_cast<std::uint32_t>(batchSlots_.size());
-        batchSlots_.emplace_back();
-    }
-    BatchSlot &s = batchSlots_[slot];
-    s.payload = payload;
-    s.live = true;
     return slot;
 }
 
 void
 EventQueue::freeTombstone(const HeapRecord &rec)
 {
-    if (rec.kernel != 0) {
-        batchSlots_[rec.slot].tombstone = false;
-        freeBatch_.push_back(rec.slot);
-    } else {
-        plainCell(rec.slot).tombstone = false;
-        freePlain_.push_back(rec.slot);
-    }
+    cell(rec.slot).tombstone = false;
+    freeCells_.push_back(rec.slot);
 }
 
 void
@@ -134,9 +88,9 @@ EventQueue::schedule(Tick when, Callback cb, const char *tag)
     }
     if (!cb)
         panic("EventQueue::schedule: empty callback");
-    const std::uint32_t slot = allocPlain(std::move(cb), tag);
+    const std::uint32_t slot = allocCell(std::move(cb), tag);
     pushRecord(HeapRecord{when, nextSeq_++, slot});
-    return makeId(plainCell(slot).gen, slot + 1);
+    return makeId(cell(slot).gen, slot + 1);
 }
 
 EventId
@@ -152,41 +106,9 @@ EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback cb,
               "keyed-record marker bit");
     if (!cb)
         panic("EventQueue::scheduleKeyed: empty callback");
-    const std::uint32_t slot = allocPlain(std::move(cb), tag);
+    const std::uint32_t slot = allocCell(std::move(cb), tag);
     pushRecord(HeapRecord{when, keyedSeqBit | key, slot});
-    return makeId(plainCell(slot).gen, slot + 1);
-}
-
-std::uint16_t
-EventQueue::registerBatchKernel(const char *tag, BatchKernel fn,
-                                void *ctx)
-{
-    if (fn == nullptr)
-        panic("EventQueue::registerBatchKernel: null kernel");
-    if (kernels_.size() >=
-        std::numeric_limits<std::uint16_t>::max()) {
-        panic("EventQueue::registerBatchKernel: kernel id space "
-              "exhausted (", kernels_.size(), " kernels)");
-    }
-    kernels_.push_back(BatchKernelEntry{fn, ctx, tag});
-    return static_cast<std::uint16_t>(kernels_.size());
-}
-
-EventId
-EventQueue::scheduleBatch(Tick when, std::uint16_t kernel,
-                          std::uint32_t payload)
-{
-    if (when < now_) {
-        panic("EventQueue::scheduleBatch: tried to schedule at tick ",
-              when, " which is before now (", now_, ")");
-    }
-    if (kernel == 0 || kernel > kernels_.size()) {
-        panic("EventQueue::scheduleBatch: unregistered kernel id ",
-              kernel);
-    }
-    const std::uint32_t slot = allocBatch(payload);
-    pushRecord(HeapRecord{when, nextSeq_++, slot, kernel});
-    return makeId(batchSlots_[slot].gen, batchIdBit | (slot + 1));
+    return makeId(cell(slot).gen, slot + 1);
 }
 
 Tick
@@ -199,33 +121,18 @@ EventQueue::peekNextTick()
 bool
 EventQueue::cancel(EventId id)
 {
-    const std::uint32_t low = idLow(id);
-    const std::uint32_t biased = low & ~batchIdBit;
-    if (biased == 0)
+    const std::uint32_t biased = idLow(id);
+    if (biased == 0 || biased > cells_)
         return false;
-    const std::uint32_t slot = biased - 1;
-    // Only a live slot matches its id's generation: running,
-    // executed, cancelled and recycled slots have all bumped theirs,
-    // and a free slot is not live.
-    if ((low & batchIdBit) != 0) {
-        if (slot >= batchSlots_.size())
-            return false;
-        BatchSlot &s = batchSlots_[slot];
-        if (!s.live || s.gen != idGen(id))
-            return false;
-        s.live = false;
-        ++s.gen;
-        s.tombstone = true;
-    } else {
-        if (slot >= plainCells_)
-            return false;
-        PlainCell &c = plainCell(slot);
-        if (!c.cb || c.gen != idGen(id))
-            return false;
-        ++c.gen;
-        c.tombstone = true;
-        c.cb = nullptr; // release captured state immediately
-    }
+    // Only a live cell matches its id's generation: running,
+    // executed, cancelled and recycled cells have all bumped theirs,
+    // and a free cell holds no callback.
+    Cell &c = cell(biased - 1);
+    if (!c.cb || c.gen != idGen(id))
+        return false;
+    ++c.gen;
+    c.tombstone = true;
+    c.cb = nullptr; // release captured state immediately
     --pending_;
     ++tombstones_;
     ++stats_.cancelled;
@@ -292,11 +199,11 @@ EventQueue::skipCancelled()
 }
 
 void
-EventQueue::noteExecuted(Tick when, std::uint64_t count)
+EventQueue::noteExecuted(Tick when)
 {
-    stats_.executed += count;
+    ++stats_.executed;
     if (burst_ > 0 && when == lastExecTick_) {
-        burst_ += count;
+        ++burst_;
     } else {
         // Crossing a tick boundary completes the previous tick: its
         // event count is final, so report it before restarting the
@@ -304,7 +211,7 @@ EventQueue::noteExecuted(Tick when, std::uint64_t count)
         // heap is tick-ordered), so burst_ *is* the per-tick count.
         if (burst_ > 0)
             completeTick();
-        burst_ = count;
+        burst_ = 1;
     }
     lastExecTick_ = when;
     if (burst_ > stats_.maxSameTickBurst)
@@ -327,78 +234,31 @@ void
 EventQueue::executeRoot()
 {
     const HeapRecord root = heap_[0];
-    PlainCell &cell = plainCell(root.slot);
-    ++cell.gen; // a callback cancelling its own id gets false
+    Cell &c = cell(root.slot);
+    ++c.gen; // a callback cancelling its own id gets false
     now_ = root.when;
     popRoot();
     --pending_;
-    noteExecuted(root.when, 1);
+    noteExecuted(root.when);
     // All bookkeeping is consistent before the callback runs, so it
     // may freely schedule() and cancel(). Its cell is on neither the
     // heap nor the free list until it returns, and chunks never move,
     // so the callback runs in place even if the arena grows under it.
     if (!profiling_) {
-        cell.cb();
+        c.cb();
     } else {
         using Clock = std::chrono::steady_clock;
         const Clock::time_point t0 = Clock::now();
-        cell.cb();
+        c.cb();
         const double ns =
             std::chrono::duration<double, std::nano>(Clock::now() - t0)
                 .count();
-        ProfileBucket &bucket = profileBucketFor(cell.tag);
+        ProfileBucket &bucket = profileBucketFor(c.tag);
         ++bucket.count;
         bucket.wallNs += ns;
     }
-    cell.cb = nullptr;
-    freePlain_.push_back(root.slot);
-}
-
-std::uint64_t
-EventQueue::executeBatchRun()
-{
-    const std::uint16_t kernel = heap_[0].kernel;
-    const Tick when = heap_[0].when;
-    now_ = when;
-    batchScratch_.clear();
-    do {
-        const std::uint32_t slot = heap_[0].slot;
-        BatchSlot &s = batchSlots_[slot];
-        batchScratch_.push_back(s.payload);
-        s.live = false;
-        ++s.gen;
-        freeBatch_.push_back(slot);
-        popRoot();
-        // Tombstones between run members would be skipped by the
-        // scalar path too, so dropping them preserves run maximality
-        // without reordering anything.
-        skipCancelled();
-    } while (!heap_.empty() && heap_[0].when == when &&
-             heap_[0].kernel == kernel);
-    const std::uint64_t n = batchScratch_.size();
-    pending_ -= static_cast<std::size_t>(n);
-    noteExecuted(when, n);
-    ++stats_.batchRuns;
-    stats_.batchEvents += n;
-    // Bookkeeping is consistent before the kernel runs, so it may
-    // schedule()/scheduleBatch()/cancel() freely; anything it adds
-    // at this tick forms a later run, exactly as the per-event path
-    // would order it.
-    const BatchKernelEntry &k = kernels_[kernel - 1];
-    if (!profiling_) {
-        k.fn(k.ctx, when, batchScratch_.data(), batchScratch_.size());
-        return n;
-    }
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point t0 = Clock::now();
-    k.fn(k.ctx, when, batchScratch_.data(), batchScratch_.size());
-    const double ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0)
-            .count();
-    ProfileBucket &bucket = profileBucketFor(k.tag);
-    bucket.count += n;
-    bucket.wallNs += ns;
-    return n;
+    c.cb = nullptr;
+    freeCells_.push_back(root.slot);
 }
 
 EventQueue::ProfileBucket &
@@ -461,10 +321,7 @@ EventQueue::runOne()
     skipCancelled();
     if (heap_.empty())
         return false;
-    if (heap_[0].kernel != 0)
-        executeBatchRun();
-    else
-        executeRoot();
+    executeRoot();
     return true;
 }
 
@@ -479,12 +336,8 @@ EventQueue::runUntil(Tick limit)
         skipCancelled();
         if (heap_.empty() || heap_[0].when > limit)
             break;
-        if (heap_[0].kernel != 0) {
-            ran += executeBatchRun();
-        } else {
-            executeRoot();
-            ++ran;
-        }
+        executeRoot();
+        ++ran;
     }
     return ran;
 }
@@ -522,12 +375,6 @@ EventQueue::regStats(StatRegistry &registry,
     });
     registry.add(prefix + ".max_same_tick_burst", [s] {
         return static_cast<double>(s->maxSameTickBurst);
-    });
-    registry.add(prefix + ".batch_runs", [s] {
-        return static_cast<double>(s->batchRuns);
-    });
-    registry.add(prefix + ".batch_events", [s] {
-        return static_cast<double>(s->batchEvents);
     });
     // Bucket ge_N counts completed ticks whose burst size lies in
     // [N, 2N); the last bucket is unbounded above.

@@ -6,36 +6,17 @@
  * same-tick events run FIFO and every run is deterministic. Events may
  * be cancelled through the EventId returned by schedule().
  *
- * Layout: an explicit 4-ary heap of small (when, seq, slot, kernel)
- * records over two arenas, one per event kind. Plain events
- * (schedule/scheduleKeyed) own a cell of a chunked arena holding the
- * InlineCallback; chunks are allocated on first use and never move,
- * so a callback runs in place in its cell — even while it schedules
- * into a growing arena — and is never relocated after schedule().
- * Batch events (scheduleBatch) own a 12-byte record in a dense array
- * with no callback storage at all. The heap record's kernel id says
- * which arena its slot indexes, and an EventId encodes (generation,
- * kind, slot), so cancel() is a bounds check plus a few writes — no
- * hash lookup anywhere on the schedule/cancel/run path. Cancellation
- * tombstones the slot in place and releases the callback immediately
- * (captured state, e.g. Message payloads, is freed promptly);
- * tombstoned heap records are skipped at pop time and swept out
- * wholesale when they exceed half the heap.
- *
- * Batched ("coalesced tick") execution: same-tick bursts of
- * homogeneous events are the dominant structure of the hot loops
- * (EventQueueStats' burst histogram quantifies it per workload), and
- * dispatching each through its own InlineCallback wastes the
- * homogeneity. A registrant may registerBatchKernel() a flat
- * function and then scheduleBatch() events that carry only a 32-bit
- * payload (an index into the registrant's structure-of-arrays
- * state). When a maximal run of same-tick records of one kernel
- * reaches the top of the heap, the queue invokes the kernel ONCE
- * with the payloads in execution order instead of N callbacks —
- * per-event dispatch and callback storage drop out while the
- * observable execution order, stats and tick-observer stream stay
- * exactly those of the equivalent per-event path (see DESIGN.md §14
- * for the ordering argument).
+ * Layout: an explicit 4-ary heap of small (when, seq, slot) records
+ * over a chunked arena of cells, each holding one InlineCallback.
+ * Chunks are allocated on first use and never move, so a callback
+ * runs in place in its cell — even while it schedules into a growing
+ * arena — and is never relocated after schedule(). An EventId
+ * encodes (generation, slot), so cancel() is a bounds check plus a
+ * few writes — no hash lookup anywhere on the schedule/cancel/run
+ * path. Cancellation tombstones the cell in place and releases the
+ * callback immediately (captured state, e.g. Message payloads, is
+ * freed promptly); tombstoned heap records are skipped at pop time
+ * and swept out wholesale when they exceed half the heap.
  */
 
 #ifndef MACROSIM_SIM_EVENT_HH
@@ -60,8 +41,7 @@ class StatRegistry;
 
 /**
  * Opaque identifier for a scheduled event; used for cancellation.
- * Encodes the slot's generation, the event kind and the slot index,
- * so stale handles — already run, already cancelled, or never issued
+ * Encodes the slot's generation and the slot index, so stale handles — already run, already cancelled, or never issued
  * — are rejected in O(1) without any lookup structure. The values
  * carry no meaning beyond that; nothing may depend on them.
  */
@@ -71,32 +51,8 @@ using EventId = std::uint64_t;
 constexpr EventId invalidEventId = 0;
 
 /**
- * A batch kernel: invoked once per maximal same-tick run of events
- * scheduled with scheduleBatch() for the same kernel id. @p payloads
- * holds the 32-bit payloads in exact execution (schedule) order.
- * Kernels may schedule()/scheduleBatch()/cancel() freely — the
- * queue's bookkeeping is consistent before the call — but must not
- * assume anything about @p count beyond count >= 1.
- */
-using BatchKernel = void (*)(void *ctx, Tick when,
-                             const std::uint32_t *payloads,
-                             std::size_t count);
-
-/**
- * Process-wide default for whether subsystems route their per-tick
- * bulk work through batch kernels (scheduleBatch) or the per-event
- * scalar reference path (schedule + InlineCallback). Batched is the
- * default; tests and benches flip it to compare the two paths on
- * networks they construct indirectly (figure/campaign helpers).
- * Read once at subsystem construction, so flipping it mid-simulation
- * affects only subsequently built objects.
- */
-bool batchDispatchDefault();
-void setBatchDispatchDefault(bool on);
-
-/**
  * Observability counters for one EventQueue. Plain fields keep the
- * hot path branch-free; registration with a StatGroup happens via
+ * hot path branch-free; registration with a StatRegistry happens via
  * EventQueue::regStats().
  */
 struct EventQueueStats
@@ -118,9 +74,9 @@ struct EventQueueStats
     std::uint64_t compactions = 0;
     /** Longest run of consecutively executed same-tick events. */
     std::uint64_t maxSameTickBurst = 0;
-    /** Batch-kernel invocations (each retires a whole run). */
-    std::uint64_t batchRuns = 0;
-    /** Events retired through batch kernels (subset of executed). */
+    /** Always 0: the queue has one dispatch path. Kept only because
+     *  the perfbench harness reads it for its batch_events_frac
+     *  metric; it goes when a benchmark change drops that metric. */
     std::uint64_t batchEvents = 0;
     /** Same-tick burst-size histogram over completed ticks. A tick
      *  completes when a later tick's first event executes or
@@ -151,17 +107,17 @@ struct EventProfileEntry
 class EventQueue
 {
   public:
-    /** Scheduled callbacks live inline in the plain-event arena —
+    /** Scheduled callbacks live inline in the arena —
      *  captures must fit InlineCallback's buffer (compile-time
      *  checked), so schedule()/execute never touch the heap in
      *  steady state. */
     using Callback = InlineCallback;
 
-    /** Plain-event arena cells per chunk (a power of two, so the
-     *  cell lookup is a shift and a mask). The arena grows one chunk
-     *  at a time and never moves a cell. */
-    static constexpr std::uint32_t plainChunkCells = 1024;
-    static_assert((plainChunkCells & (plainChunkCells - 1)) == 0);
+    /** Arena cells per chunk (a power of two, so the cell lookup is
+     *  a shift and a mask). The arena grows one chunk at a time and
+     *  never moves a cell. */
+    static constexpr std::uint32_t chunkCells = 1024;
+    static_assert((chunkCells & (chunkCells - 1)) == 0);
 
     /** Allocates nothing: arena chunks appear on first schedule(). */
     EventQueue() = default;
@@ -214,34 +170,6 @@ class EventQueue
                           const char *tag = nullptr);
 
     /**
-     * Register a batch kernel under @p tag (profiler attribution;
-     * must outlive the queue, string literals). Returns the kernel id
-     * to pass to scheduleBatch(). Registration order is per-queue and
-     * deterministic; ids start at 1.
-     */
-    std::uint16_t registerBatchKernel(const char *tag, BatchKernel fn,
-                                      void *ctx);
-
-    /**
-     * Schedule one batch event: at tick @p when the registered kernel
-     * receives @p payload, coalesced with every adjacent same-tick
-     * event of the same kernel into a single invocation. Ordering is
-     * identical to schedule(): batch events take the next insertion
-     * sequence number, so they interleave with plain events exactly
-     * where an equivalent schedule() call would, and coalesced runs
-     * never reorder across a plain event or a tick boundary.
-     *
-     * The returned id works with cancel(). Cancellation drops the
-     * payload on the floor — registrants whose payloads index pooled
-     * state must either not cancel or use self-describing payloads.
-     *
-     * @pre when >= now(); @p kernel was returned by
-     *      registerBatchKernel() on this queue.
-     */
-    EventId scheduleBatch(Tick when, std::uint16_t kernel,
-                          std::uint32_t payload);
-
-    /**
      * Timestamp of the earliest pending event, or maxTick when the
      * queue is empty. Sweeps cancelled tombstones off the top, hence
      * non-const. The PDES horizon protocol publishes this as the
@@ -270,9 +198,7 @@ class EventQueue
     std::size_t size() const { return pending_; }
 
     /**
-     * Run the next pending event (advancing now()). If the next event
-     * is a batch record, its whole coalesced run executes as one unit
-     * (a run is indivisible — it is one kernel invocation).
+     * Run the next pending event (advancing now()).
      *
      * @return true if an event ran; false if the queue was empty.
      */
@@ -364,11 +290,7 @@ class EventQueue
      *  records (see maybeCompact()). */
     static constexpr std::uint64_t compactMinTombstones = 64;
 
-    /** EventId bit marking a batch-arena slot (set in the low word,
-     *  above the biased slot index). */
-    static constexpr std::uint32_t batchIdBit = 1u << 31;
-
-    /** Arena cell owning one plain callback.
+    /** Arena cell owning one callback.
      *
      *  Lifecycle: free (no cb) -> live (cb set) -> either running
      *  (gen bumped, cb invoked in place, then destroyed and the cell
@@ -376,7 +298,7 @@ class EventQueue
      *  until its heap record is popped or swept, then free. Leaving
      *  the live state bumps gen, so stale EventIds miss.
      */
-    struct PlainCell
+    struct Cell
     {
         /** Profiler tag; nullptr = untagged. Kept even when
          *  profiling is off so the profiler can be flipped on
@@ -386,19 +308,6 @@ class EventQueue
         bool tombstone = false;
         Callback cb;
     };
-
-    /** Dense record of one batch event: no callback storage (the
-     *  kernel id rides in the heap record, the tag in the kernel
-     *  table). Same lifecycle as PlainCell, with `live` standing in
-     *  for "cb set". */
-    struct BatchSlot
-    {
-        std::uint32_t gen = 0;
-        std::uint32_t payload = 0;
-        bool live = false;
-        bool tombstone = false;
-    };
-    static_assert(sizeof(BatchSlot) == 12);
 
     /** Per-tag profile accumulator (see EventProfileEntry). */
     struct ProfileBucket
@@ -416,19 +325,13 @@ class EventQueue
         ProfileBucket bucket;
     };
 
-    /** Heap record: 24 bytes, trivially copyable, no callback. The
-     *  kernel id rides in what used to be tail padding, so batch
-     *  coalescing can test run membership without touching either
-     *  arena. */
+    /** Heap record: 24 bytes, trivially copyable, no callback. */
     struct HeapRecord
     {
         Tick when;
         std::uint64_t seq;
-        /** Index into the plain arena (kernel == 0) or the batch
-         *  arena (kernel != 0). */
+        /** Index into the arena. */
         std::uint32_t slot;
-        /** 0 = plain callback record; else batch kernel id. */
-        std::uint16_t kernel = 0;
     };
 
     /** Keyed records set this bit in `seq`, with the caller's key in
@@ -445,25 +348,22 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    PlainCell &
-    plainCell(std::uint32_t slot)
+    Cell &
+    cell(std::uint32_t slot)
     {
-        return plainChunks_[slot / plainChunkCells]
-                           [slot % plainChunkCells];
+        return chunks_[slot / chunkCells][slot % chunkCells];
     }
 
     /** Whether @p rec was cancelled (its slot is a tombstone). */
     bool
     isTombstone(const HeapRecord &rec)
     {
-        return rec.kernel != 0 ? batchSlots_[rec.slot].tombstone
-                               : plainCell(rec.slot).tombstone;
+        return cell(rec.slot).tombstone;
     }
 
-    std::uint32_t allocPlain(Callback &&cb, const char *tag);
-    std::uint32_t allocBatch(std::uint32_t payload);
+    std::uint32_t allocCell(Callback &&cb, const char *tag);
 
-    /** Return a swept tombstone's slot to its arena's free list. */
+    /** Return a swept tombstone's slot to the free list. */
     void freeTombstone(const HeapRecord &rec);
 
     /** Push @p rec onto the heap and account it as pending. */
@@ -477,18 +377,13 @@ class EventQueue
     void skipCancelled();
 
     /** Pop the root record and run its callback in place in its
-     *  cell. @pre root is pending and plain. */
+     *  cell. @pre root is pending. */
     void executeRoot();
 
-    /** Pop and run the maximal same-(tick, kernel) run at the top of
-     *  the heap through its batch kernel. @pre root is pending and a
-     *  batch record. @return events retired. */
-    std::uint64_t executeBatchRun();
-
-    /** Burst bookkeeping shared by the scalar and batch paths:
-     *  account @p count events executing at @p when, completing the
-     *  previous tick (observer + histogram) on a boundary cross. */
-    void noteExecuted(Tick when, std::uint64_t count);
+    /** Burst bookkeeping: account one event executing at @p when,
+     *  completing the previous tick (observer + histogram) on a
+     *  boundary cross. */
+    void noteExecuted(Tick when);
 
     /** Report the in-progress tick to the observer and histogram. */
     void completeTick();
@@ -510,29 +405,13 @@ class EventQueue
     void *tickCtx_ = nullptr;
 
     std::vector<HeapRecord> heap_;
-    /** Plain arena: fixed-size chunks, allocated on first use and
-     *  never moved or freed before the queue. */
-    std::vector<std::unique_ptr<PlainCell[]>> plainChunks_;
-    /** Plain cells handed out so far (free or not). */
-    std::uint32_t plainCells_ = 0;
-    std::vector<std::uint32_t> freePlain_;
-    /** Batch arena: trivially copyable, so growth is a memcpy. */
-    std::vector<BatchSlot> batchSlots_;
-    std::vector<std::uint32_t> freeBatch_;
+    /** Arena: fixed-size chunks, allocated on first use and never
+     *  moved or freed before the queue. */
+    std::vector<std::unique_ptr<Cell[]>> chunks_;
+    /** Cells handed out so far (free or not). */
+    std::uint32_t cells_ = 0;
+    std::vector<std::uint32_t> freeCells_;
     EventQueueStats stats_;
-
-    /** One registered batch kernel (id = index + 1). */
-    struct BatchKernelEntry
-    {
-        BatchKernel fn;
-        void *ctx;
-        const char *tag;
-    };
-
-    std::vector<BatchKernelEntry> kernels_;
-    /** Payload staging for the run being drained; reused across runs
-     *  so steady state stays allocation-free. */
-    std::vector<std::uint32_t> batchScratch_;
 
     /** Bucket for @p tag, interning it on first sight. */
     ProfileBucket &profileBucketFor(const char *tag);

@@ -10,9 +10,8 @@
  * pays for reporting, and a getter can close over whatever state it
  * needs (no `const void *` plumbing).
  *
- * The registry subsumes the old flat StatGroup (the name survives as
- * an alias): it keeps the flat "name value" dump and one-row CSV, and
- * adds prefix-filtered dumps, an indented tree dump, and periodic
+ * It keeps a flat "name value" dump and one-row CSV, and adds
+ * prefix-filtered dumps, an indented tree dump, and periodic
  * mid-simulation snapshots to a time-series CSV (one row per sample
  * tick, one column per stat) via SnapshotRecorder in sampler.hh.
  */
@@ -111,12 +110,6 @@ class StatRegistry
     };
     std::vector<Entry> entries_;
 };
-
-/**
- * The old flat stat-group name; a StatRegistry ignored of its
- * hierarchy behaves exactly like one.
- */
-using StatGroup = StatRegistry;
 
 /**
  * A registration handle that prepends a fixed dotted prefix, so a

@@ -217,15 +217,6 @@ TEST(EventQueue, StaleIdOfRecycledSlotIsRejected)
 namespace
 {
 
-/** Batch kernel appending its payloads to a std::vector<uint32_t>. */
-void
-appendPayloads(void *ctx, Tick, const std::uint32_t *payloads,
-               std::size_t count)
-{
-    auto *out = static_cast<std::vector<std::uint32_t> *>(ctx);
-    out->insert(out->end(), payloads, payloads + count);
-}
-
 /** Callable counting its own move constructions. When run, it first
  *  schedules @p grow more events (so the arena grows while it is
  *  running) and then records how often it had been moved. */
@@ -266,10 +257,10 @@ struct MoveCounter
 
 TEST(EventQueue, PlainCallbackIsNeverRelocatedAfterSchedule)
 {
-    // The plain arena must grow by whole chunks without moving live
-    // cells, and the callback must run in its cell: both growth
-    // before it runs and growth from inside it leave it in place.
-    constexpr int chunk = static_cast<int>(EventQueue::plainChunkCells);
+    // The arena must grow by whole chunks without moving live cells,
+    // and the callback must run in its cell: both growth before it
+    // runs and growth from inside it leave it in place.
+    constexpr int chunk = static_cast<int>(EventQueue::chunkCells);
     EventQueue q;
     int moves = 0;
     int movesAtRun = -1;
@@ -285,93 +276,16 @@ TEST(EventQueue, PlainCallbackIsNeverRelocatedAfterSchedule)
               static_cast<std::uint64_t>(1 + 3 * (2 * chunk + 1)));
 }
 
-TEST(EventQueue, CancelNeverCrossesEventKinds)
-{
-    // The first plain and the first batch event each take slot 0 of
-    // their own arena: cancelling either id leaves the other alone.
-    EventQueue q;
-    std::vector<std::uint32_t> payloads;
-    const std::uint16_t k =
-        q.registerBatchKernel("test.append", appendPayloads, &payloads);
-    bool plainRan = false;
-    const EventId plain = q.schedule(1, [&] { plainRan = true; });
-    const EventId batch = q.scheduleBatch(1, k, 7);
-    EXPECT_NE(plain, batch);
-    EXPECT_TRUE(q.cancel(batch));
-    EXPECT_FALSE(q.cancel(batch));
-    EXPECT_EQ(q.size(), 1u);
-    q.runUntil();
-    EXPECT_TRUE(plainRan);
-    EXPECT_TRUE(payloads.empty());
-
-    // The reverse, on the recycled slots.
-    const EventId plain2 =
-        q.schedule(2, [] { ADD_FAILURE() << "cancelled event ran"; });
-    const EventId batch2 = q.scheduleBatch(2, k, 8);
-    EXPECT_NE(plain2, batch2);
-    EXPECT_TRUE(q.cancel(plain2));
-    EXPECT_FALSE(q.cancel(plain2));
-    EXPECT_EQ(q.size(), 1u);
-    q.runUntil();
-    EXPECT_EQ(payloads, (std::vector<std::uint32_t>{8}));
-    EXPECT_EQ(q.stats().cancelled, 2u);
-}
-
-TEST(EventQueue, StaleBatchIdIsRejected)
-{
-    EventQueue q;
-    std::vector<std::uint32_t> payloads;
-    const std::uint16_t k =
-        q.registerBatchKernel("test.append", appendPayloads, &payloads);
-    const EventId first = q.scheduleBatch(1, k, 1);
-    q.runUntil();
-    EXPECT_FALSE(q.cancel(first));
-    // The batch slot of `first` is recycled here; the stale handle
-    // must not cancel the new event.
-    const EventId second = q.scheduleBatch(2, k, 2);
-    EXPECT_FALSE(q.cancel(first));
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_TRUE(q.cancel(second));
-    q.runUntil();
-    EXPECT_EQ(payloads, (std::vector<std::uint32_t>{1}));
-}
-
-namespace
-{
-
-/** Batch-kernel context for the self-cancel test. */
-struct SelfCancel
-{
-    EventQueue *q = nullptr;
-    EventId id = invalidEventId;
-    int result = -1;
-};
-
-void
-cancelOwnId(void *ctx, Tick, const std::uint32_t *, std::size_t)
-{
-    auto *s = static_cast<SelfCancel *>(ctx);
-    s->result = s->q->cancel(s->id) ? 1 : 0;
-}
-
-} // namespace
-
 TEST(EventQueue, CancellingTheRunningEventReturnsFalse)
 {
     EventQueue q;
     EventId self = invalidEventId;
-    int plainResult = -1;
-    self = q.schedule(1, [&] { plainResult = q.cancel(self) ? 1 : 0; });
-    SelfCancel batch;
-    batch.q = &q;
-    const std::uint16_t k =
-        q.registerBatchKernel("test.self_cancel", cancelOwnId, &batch);
-    batch.id = q.scheduleBatch(2, k, 0);
+    int result = -1;
+    self = q.schedule(1, [&] { result = q.cancel(self) ? 1 : 0; });
     q.runUntil();
-    EXPECT_EQ(plainResult, 0);
-    EXPECT_EQ(batch.result, 0);
+    EXPECT_EQ(result, 0);
     EXPECT_EQ(q.stats().cancelled, 0u);
-    EXPECT_EQ(q.executed(), 2u);
+    EXPECT_EQ(q.executed(), 1u);
 }
 
 TEST(EventQueue, StatsCountCoreActivity)
@@ -477,18 +391,42 @@ TEST(EventQueue, TombstoneCompactionPreservesOrder)
         EXPECT_EQ(order[i], expected[i].second);
 }
 
-TEST(EventQueue, RegStatsDumpsThroughStatGroup)
+TEST(EventQueue, RegStatsDumpsThroughStatRegistry)
 {
     EventQueue q;
     q.schedule(1, [] {});
     q.runUntil();
-    StatGroup g;
+    StatRegistry g;
     q.regStats(g, "evq");
     std::ostringstream os;
     g.dump(os);
     EXPECT_NE(os.str().find("evq.scheduled 1"), std::string::npos);
     EXPECT_NE(os.str().find("evq.executed 1"), std::string::npos);
     EXPECT_NE(os.str().find("evq.peak_pending 1"), std::string::npos);
+}
+
+TEST(EventQueue, BurstHistogramBucketsByPowerOfTwo)
+{
+    EventQueue q;
+    int fired = 0;
+    // Tick 1: burst of 1. Tick 2: burst of 3 (bucket [2,4)).
+    // Tick 3: burst of 8 (bucket [8,16)).
+    q.schedule(1, [&fired] { ++fired; }, "t");
+    for (int i = 0; i < 3; ++i)
+        q.schedule(2, [&fired] { ++fired; }, "t");
+    for (int i = 0; i < 8; ++i)
+        q.schedule(3, [&fired] { ++fired; }, "t");
+    while (q.runOne()) {}
+    EXPECT_EQ(fired, 12);
+    // The final tick stays buffered until the flush.
+    q.flushTickObserver();
+
+    const EventQueueStats &s = q.stats();
+    EXPECT_EQ(s.burstHist[0], 1u); // [1, 2)
+    EXPECT_EQ(s.burstHist[1], 1u); // [2, 4)
+    EXPECT_EQ(s.burstHist[2], 0u); // [4, 8)
+    EXPECT_EQ(s.burstHist[3], 1u); // [8, 16)
+    EXPECT_EQ(s.maxSameTickBurst, 8u);
 }
 
 TEST(EventQueue, SchedulingInPastPanics)

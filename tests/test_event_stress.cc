@@ -1,12 +1,12 @@
 /**
  * @file
  * Event-core stress test: randomized interleavings of
- * schedule/scheduleBatch/cancel/runOne/runUntil are applied to the
+ * schedule/cancel/runOne/runUntil are applied to the
  * real EventQueue and to a naive reference model (a sorted
  * std::multimap, which preserves insertion order for equal keys),
  * asserting identical execution order, now() trajectory, and size()
  * at every step. Runs under MACROSIM_SANITIZE=address cleanly — the
- * recycling of both arenas and the tombstone compaction paths get
+ * arena's cell recycling and the tombstone compaction paths get
  * hammered hard here.
  */
 
@@ -29,19 +29,17 @@ using namespace macrosim;
 /**
  * The semantics of EventQueue, written as artlessly as possible:
  * a time-sorted multimap of tags (multimap guarantees insertion
- * order for equivalent keys, i.e. same-tick FIFO) plus a live set
- * and each tag's batch kernel (0 = plain event).
+ * order for equivalent keys, i.e. same-tick FIFO) plus a live set.
  */
 class ReferenceQueue
 {
   public:
     std::uint64_t
-    schedule(Tick when, int tag, std::uint16_t kernel = 0)
+    schedule(Tick when, int tag)
     {
         EXPECT_GE(when, now_);
         queue_.emplace(when, tag);
         live_.insert(tag);
-        kernel_[tag] = kernel;
         return static_cast<std::uint64_t>(tag);
     }
 
@@ -51,30 +49,19 @@ class ReferenceQueue
         return live_.erase(tag) == 1;
     }
 
-    /** Run the next live event; a batch event takes the rest of its
-     *  run with it (every following live same-tick event of the same
-     *  kernel, up to the first other one). @return events run. */
-    std::uint64_t
+    /** Run the next live event. @return whether one ran. */
+    bool
     runOne(std::vector<int> &order)
     {
         skipDead();
         if (queue_.empty())
-            return 0;
+            return false;
         const auto [when, tag] = *queue_.begin();
-        const std::uint16_t kernel = kernel_[tag];
-        std::uint64_t ran = 0;
-        do {
-            const int next = queue_.begin()->second;
-            queue_.erase(queue_.begin());
-            live_.erase(next);
-            order.push_back(next);
-            ++ran;
-            skipDead();
-        } while (kernel != 0 && !queue_.empty() &&
-                 queue_.begin()->first == when &&
-                 kernel_[queue_.begin()->second] == kernel);
+        queue_.erase(queue_.begin());
+        live_.erase(tag);
+        order.push_back(tag);
         now_ = when;
-        return ran;
+        return true;
     }
 
     std::uint64_t
@@ -87,7 +74,8 @@ class ReferenceQueue
             skipDead();
             if (queue_.empty() || queue_.begin()->first > limit)
                 break;
-            ran += runOne(order);
+            runOne(order);
+            ++ran;
         }
         return ran;
     }
@@ -109,19 +97,7 @@ class ReferenceQueue
     Tick now_ = 0;
     std::multimap<Tick, int> queue_;
     std::unordered_set<int> live_;
-    std::unordered_map<int, std::uint16_t> kernel_;
 };
-
-/** Batch kernel of the real queue: appends the payloads (the tags)
- *  to the std::vector<int> execution order it was registered with. */
-void
-appendTags(void *ctx, Tick, const std::uint32_t *payloads,
-           std::size_t count)
-{
-    auto *order = static_cast<std::vector<int> *>(ctx);
-    for (std::size_t i = 0; i < count; ++i)
-        order->push_back(static_cast<int>(payloads[i]));
-}
 
 /** One full random interleaving with a given op mix. */
 void
@@ -132,11 +108,6 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
     ReferenceQueue ref;
 
     std::vector<int> real_order, ref_order;
-    // Two kernels, so batch runs also break on a foreign kernel.
-    const std::uint16_t kernels[2] = {
-        real.registerBatchKernel("stress.a", appendTags, &real_order),
-        real.registerBatchKernel("stress.b", appendTags, &real_order),
-    };
     // tag -> real queue handle, for cancels of live events.
     std::unordered_map<int, EventId> handles;
     std::vector<int> live_tags;
@@ -144,7 +115,7 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
 
     const auto scheduleOne = [&] {
         // Mix of horizons; weight same-tick bursts heavily so FIFO
-        // ordering inside a tick (and batch coalescing) is exercised.
+        // ordering inside a tick is exercised.
         const std::uint64_t horizon = rng.below(4);
         Tick when = real.now();
         if (horizon == 1)
@@ -152,20 +123,9 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
         else if (horizon >= 2)
             when += rng.below(2000);
         const int tag = next_tag++;
-        // Half plain callbacks, half batch events split between the
-        // two kernels.
-        const std::uint64_t kind = rng.below(4);
-        const std::uint16_t kernel = kind < 2 ? 0 : kernels[kind - 2];
-        if (kernel == 0) {
-            handles[tag] =
-                real.schedule(when, [tag, &real_order] {
-                    real_order.push_back(tag);
-                });
-        } else {
-            handles[tag] = real.scheduleBatch(
-                when, kernel, static_cast<std::uint32_t>(tag));
-        }
-        ref.schedule(when, tag, kernel);
+        handles[tag] = real.schedule(
+            when, [tag, &real_order] { real_order.push_back(tag); });
+        ref.schedule(when, tag);
         live_tags.push_back(tag);
     };
 
@@ -189,7 +149,7 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
                 live_tags.pop_back();
             }
         } else if (roll < 90) {
-            ASSERT_EQ(real.runOne(), ref.runOne(ref_order) > 0);
+            ASSERT_EQ(real.runOne(), ref.runOne(ref_order));
         } else {
             const Tick limit = real.now() + rng.below(500);
             ASSERT_EQ(real.runUntil(limit),
@@ -221,8 +181,6 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
     ASSERT_EQ(real.now(), ref.now());
     ASSERT_EQ(real.size(), 0u);
     ASSERT_EQ(ref.size(), 0u);
-    // The mix really coalesced batch events into multi-event runs.
-    EXPECT_GT(real.stats().batchEvents, real.stats().batchRuns);
 }
 
 TEST(EventQueueStress, MatchesReferenceModelLightCancel)
@@ -261,7 +219,7 @@ TEST(EventQueueStress, FollowUpSchedulingMatchesReference)
     int executed_total = 0;
     for (;;) {
         const bool a = real.runOne();
-        ASSERT_EQ(a, ref.runOne(ref_order) > 0);
+        ASSERT_EQ(a, ref.runOne(ref_order));
         if (!a)
             break;
         ASSERT_EQ(real_order, ref_order);

@@ -8,16 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hh"
 #include "fault/injector.hh"
 #include "harness.hh"
 #include "net/pt2pt.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/sweep.hh"
 #include "sim/telemetry/trace.hh"
-#include "sweep.hh"
 #include "workloads/coherence.hh"
 #include "workloads/message_passing.hh"
 #include "workloads/packet_injector.hh"
@@ -305,6 +310,194 @@ runFaultSweep(std::size_t jobs)
     }
     return SweepRunner(jobs, false).run("fault-sweep",
                                         std::move(sweep));
+}
+
+/**
+ * Independent reference for the injector's flat margin lanes: per-link
+ * degradation totals kept here, and margins computed through the
+ * public photonics API (OpticalPath::deratedPath + margin).
+ */
+class ReferenceMargins
+{
+  public:
+    using Links = std::vector<std::pair<SiteId, SiteId>>;
+
+    explicit ReferenceMargins(const FaultModelParams &params)
+        : params_(params), minMarginDb_(marginOf(Link{}))
+    {
+    }
+
+    void
+    apply(const FaultEvent &ev)
+    {
+        Link &l = links_[{ev.target.a, ev.target.b}];
+        switch (ev.kind) {
+          case FaultKind::LaserDroop: l.droopDb += ev.magnitudeDb; break;
+          case FaultKind::RingDrift: l.dropDb += ev.magnitudeDb; break;
+          case FaultKind::WaveguideCreep: l.wgDb += ev.magnitudeDb; break;
+          case FaultKind::ReceiverDegrade: l.rxDb += ev.magnitudeDb; break;
+          case FaultKind::ChannelKill: l.killed = true; break;
+          case FaultKind::Repair: l = Link{}; break;
+          case FaultKind::SiteKill: FAIL() << "site event";
+        }
+        if (ev.kind == FaultKind::Repair)
+            ++repairs_;
+        else
+            ++injected_;
+        minMarginDb_ = std::min(minMarginDb_, marginOf(l));
+    }
+
+    double
+    marginDb(SiteId a, SiteId b) const
+    {
+        const auto it = links_.find({a, b});
+        return marginOf(it == links_.end() ? Link{} : it->second);
+    }
+
+    /** Links down (killed or negative margin) among @p links. */
+    std::uint64_t
+    linksDown(const Links &links) const
+    {
+        std::uint64_t n = 0;
+        for (const auto &[a, b] : links)
+            n += isDown(a, b) ? 1 : 0;
+        return n;
+    }
+
+    /** Links up but inside the derate threshold among @p links. */
+    std::uint64_t
+    linksDerated(const Links &links) const
+    {
+        std::uint64_t n = 0;
+        for (const auto &[a, b] : links) {
+            n += !isDown(a, b)
+                    && marginDb(a, b) < params_.derateThreshold.value()
+                ? 1 : 0;
+        }
+        return n;
+    }
+
+    double
+    minMarginNow(const Links &links) const
+    {
+        double min = marginOf(Link{});
+        for (const auto &[a, b] : links)
+            min = std::min(min, marginDb(a, b));
+        return min;
+    }
+
+    std::uint64_t injected() const { return injected_; }
+    std::uint64_t repairs() const { return repairs_; }
+    double minMarginDb() const { return minMarginDb_; }
+
+  private:
+    struct Link
+    {
+        double droopDb = 0.0;
+        double dropDb = 0.0;
+        double wgDb = 0.0;
+        double rxDb = 0.0;
+        bool killed = false;
+    };
+
+    double
+    marginOf(const Link &l) const
+    {
+        return params_.basePath.deratedPath(Decibel(l.dropDb + l.wgDb))
+            .margin(params_.launch - Decibel(l.droopDb),
+                    params_.sensitivity + Decibel(l.rxDb))
+            .value();
+    }
+
+    bool
+    isDown(SiteId a, SiteId b) const
+    {
+        const auto it = links_.find({a, b});
+        return (it != links_.end() && it->second.killed)
+            || marginDb(a, b) < 0.0;
+    }
+
+    FaultModelParams params_;
+    std::map<std::pair<SiteId, SiteId>, Link> links_;
+    std::uint64_t injected_ = 0;
+    std::uint64_t repairs_ = 0;
+    double minMarginDb_;
+};
+
+TEST(FaultMarginDifferential, FuzzedStatesMatchScalarExactly)
+{
+    setQuiet(true);
+    Simulator sim;
+    auto net = makeNetwork(NetId::PointToPoint, sim, simulatedConfig());
+    FaultInjector inj(sim, *net, FaultSchedule{});
+    ReferenceMargins ref{FaultModelParams{}};
+    const auto links = net->faultableLinks();
+    ASSERT_GT(inj.trackedLinks(), 0u);
+    ASSERT_EQ(inj.trackedLinks(), links.size());
+
+    std::mt19937_64 rng(1234);
+    std::uniform_real_distribution<double> mag(0.05, 6.0);
+    const FaultKind kinds[] = {
+        FaultKind::LaserDroop,   FaultKind::RingDrift,
+        FaultKind::WaveguideCreep, FaultKind::ReceiverDegrade,
+        FaultKind::ChannelKill,  FaultKind::Repair,
+    };
+
+    for (int step = 0; step < 400; ++step) {
+        const auto &[a, b] = links[rng() % links.size()];
+        FaultEvent ev;
+        ev.kind = kinds[rng() % std::size(kinds)];
+        ev.target = FaultTarget::channel(a, b);
+        ev.magnitudeDb = mag(rng);
+        inj.apply(ev);
+        ref.apply(ev);
+        // The flat lanes replay the object path's fold order, so the
+        // margins agree to the last bit, not a tolerance.
+        EXPECT_EQ(inj.marginDbOf(ev.target), ref.marginDb(a, b))
+            << "step " << step;
+    }
+
+    for (const auto &[a, b] : links)
+        EXPECT_EQ(inj.marginDbOf(FaultTarget::channel(a, b)),
+                  ref.marginDb(a, b));
+    EXPECT_EQ(inj.sweepMargins(), ref.minMarginNow(links));
+    EXPECT_EQ(inj.injectedFaults(), ref.injected());
+    EXPECT_EQ(inj.repairs(), ref.repairs());
+    EXPECT_EQ(inj.linksDown(), ref.linksDown(links));
+    EXPECT_EQ(inj.linksDerated(), ref.linksDerated(links));
+    EXPECT_EQ(inj.minMarginDb(), ref.minMarginDb());
+}
+
+TEST(FaultMarginDifferential, KillAndRepairExtremes)
+{
+    setQuiet(true);
+    Simulator sim;
+    auto net = makeNetwork(NetId::TokenRing, sim, simulatedConfig());
+    FaultInjector inj(sim, *net, FaultSchedule{});
+    ReferenceMargins ref{FaultModelParams{}};
+    const auto links = net->faultableLinks();
+
+    // Kill every channel, then repair every channel: the injector
+    // walks the down/derated counter transitions the reference
+    // recounts from scratch.
+    for (const FaultKind kind : {FaultKind::ChannelKill,
+                                 FaultKind::Repair}) {
+        for (const auto &[a, b] : links) {
+            FaultEvent ev;
+            ev.kind = kind;
+            ev.target = FaultTarget::channel(a, b);
+            inj.apply(ev);
+            ref.apply(ev);
+        }
+        EXPECT_EQ(inj.linksDown(),
+                  kind == FaultKind::ChannelKill ? links.size() : 0u);
+        EXPECT_EQ(inj.linksDown(), ref.linksDown(links));
+        EXPECT_EQ(inj.linksDerated(), ref.linksDerated(links));
+        EXPECT_EQ(inj.sweepMargins(), ref.minMarginNow(links));
+    }
+    EXPECT_EQ(inj.injectedFaults(), links.size());
+    EXPECT_EQ(inj.repairs(), links.size());
+    EXPECT_EQ(inj.minMarginDb(), ref.minMarginDb());
 }
 
 TEST(FaultSweep, BitIdenticalForAnyJobsCount)

@@ -251,3 +251,24 @@ TEST(FlagsCampaign, ValidSpecRoundTrips)
     EXPECT_EQ(spec.instructionsPerCore, 5000u);
     EXPECT_EQ(a.remaining(), (std::vector<std::string>{"bench"}));
 }
+
+TEST(FlagsUnknown, LeftoverFlagIsFatalPositionalsAreNot)
+{
+    {
+        // A misspelled --jobs survives benchFlags' strips and must
+        // not be taken for the positional that follows it.
+        Args a({"bench", "--jobz", "4", "60"});
+        const BenchFlags flags = benchFlags(a.argc(), a.argv(), 1);
+        EXPECT_EQ(flags.jobs, 0u);
+        EXPECT_EXIT(rejectUnknownFlags(a.argc(), a.argv()),
+                    testing::ExitedWithCode(2),
+                    "unknown flag '--jobz'");
+    }
+    {
+        Args a({"bench", "--jobs=2", "60"});
+        benchFlags(a.argc(), a.argv(), 1);
+        EXPECT_NO_THROW(rejectUnknownFlags(a.argc(), a.argv()));
+        EXPECT_EQ(a.remaining(),
+                  (std::vector<std::string>{"bench", "60"}));
+    }
+}

@@ -132,7 +132,7 @@ TEST_P(AllNetworks, StatsRegistrationPullsLiveValues)
     Simulator sim;
     auto net = makeNetwork(GetParam(), sim, simulatedConfig());
     net->setDefaultHandler([](const Message &) {});
-    StatGroup group;
+    StatRegistry group;
     net->registerStats(group, "net");
 
     Message m;

@@ -238,7 +238,7 @@ TEST(Histogram, QuantileInOverflowReportsInf)
     EXPECT_GT(h.quantile(0.99), 0.0); // +inf, not -inf
 }
 
-TEST(StatGroup, DumpsNamesAndValues)
+TEST(StatRegistry, DumpsNamesAndValues)
 {
     Counter c;
     c += 3;
@@ -246,7 +246,7 @@ TEST(StatGroup, DumpsNamesAndValues)
     a.sample(10.0);
     a.sample(20.0);
 
-    StatGroup g;
+    StatRegistry g;
     g.addCounter("packets", c);
     g.addMean("latency", a);
 
@@ -259,10 +259,10 @@ TEST(StatGroup, DumpsNamesAndValues)
     EXPECT_EQ(csv.str(), "packets,latency\n3,15\n");
 }
 
-TEST(StatGroup, ValuesArePulledAtDumpTime)
+TEST(StatRegistry, ValuesArePulledAtDumpTime)
 {
     Counter c;
-    StatGroup g;
+    StatRegistry g;
     g.addCounter("n", c);
     c += 7;
     std::ostringstream os;
